@@ -38,6 +38,7 @@ from .indices import (
     classify,
     default_tau,
     filtration_weight,
+    implication_violations,
     monotone_data,
     morse_index,
     parity_report,

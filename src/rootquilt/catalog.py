@@ -17,7 +17,7 @@ import jsonschema
 
 from .errors import InvariantViolation, SchemaError
 from .lattice import Lattice
-from .linalg import Mat, Vec, is_symmetric, mat, parse_rational, vec
+from .linalg import Mat, Vec, is_symmetric, mat, matrix_rank, parse_rational, vec
 from .roots import RestrictedRootSystem
 
 CATALOG_SCHEMA_ID = "restricted-pair-catalog/v1"
@@ -176,7 +176,16 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
         raise SchemaError(f"entry {name!r}: gram matrix is not {rank}x{rank}")
     if not is_symmetric(gram):
         raise SchemaError(f"entry {name!r}: gram matrix is not symmetric")
+    if any(len(seed) != rank for seed, _ in seeds):
+        raise SchemaError(f"entry {name!r}: every orbit seed needs {rank} coordinates")
     mult = close_orbits(gram, seeds)
+    spanned = matrix_rank(list(mult))
+    if spanned != rank:
+        raise InvariantViolation(
+            f"entry {name!r}: the seeded roots span {spanned} of {rank} dimensions; "
+            "seed the simple roots, because orbits close only under reflections "
+            "in roots already found"
+        )
     system = RestrictedRootSystem(gram, mult.keys(), mult, base_point, name=name)
     expected_count = _ROOT_COUNT[family](rank)
     if len(system.roots) != expected_count:

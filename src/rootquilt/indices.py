@@ -17,6 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import FloorBoundary, InvariantViolation, ModeMismatch, NotDominant, NotUgly
 from .lattice import GenericShift, Mode, weighted_root_sum
@@ -194,6 +195,36 @@ def zero_index_implication(
     if action_in <= action_out:
         return True
     return filtration_weight(w_in, shift) > filtration_weight(w_out, shift)
+
+
+ImplicationRow = tuple[int, Fraction, Fraction]  # (relative degree, action, filtration weight)
+
+
+def implication_violations(rows: Sequence[ImplicationRow]) -> tuple[int, tuple[int, int] | None]:
+    """Count the ordered pairs of rows on which ``zero_index_implication`` fails.
+
+    Row i holds the relative degree, the action and the filtration weight of
+    one generator.  The pair (i, j) violates the energy gap when the degrees
+    agree, the action drops strictly from i to j and the filtration does not.
+    Pairs of different degree hold trivially, so only pairs inside one
+    degree group are compared.  Returns the violation count and the first
+    violating pair in lexicographic order of (i, j), or None.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (degree, _, _) in enumerate(rows):
+        groups.setdefault(degree, []).append(i)
+    violations = 0
+    first: tuple[int, int] | None = None
+    for members in groups.values():
+        for i in members:
+            _, action_in, fil_in = rows[i]
+            for j in members:
+                _, action_out, fil_out = rows[j]
+                if action_in > action_out and not fil_in > fil_out:
+                    violations += 1
+                    if first is None or (i, j) < first:
+                        first = (i, j)
+    return violations, first
 
 
 def capping_maslov(system: RestrictedRootSystem, q: Vec) -> int:

@@ -141,6 +141,8 @@ def validate_generic(
     mode: Mode = Mode.SMALL_IN_CHAMBER,
     radius: Fraction = Fraction(0),
     cap: int = DEFAULT_POINT_CAP,
+    *,
+    _points: list[Vec] | None = None,
 ) -> GenericShift:
     """Exact finite certification of a shift over roots x window points.
 
@@ -153,13 +155,16 @@ def validate_generic(
     element and the identity is a sum of terms m_alpha (1 - 4 alpha(a)) over
     flipped roots, so 1/2 is exactly the threshold below which the identity
     is the unique filtration minimum.
+
+    ``_points`` passes in the window of ``lattice`` at ``radius`` when the
+    caller has already enumerated it.
     """
     a = vec(a)
     radius = Fraction(radius)
     walls = [al for al in system.roots if system.pairing(al, a) == 0]
     if walls:
         raise NotRegular(walls)
-    points = lattice.points(radius, cap=cap)
+    points = lattice.points(radius, cap=cap) if _points is None else _points
     for q in points:
         qa = add(q, a)
         for al in system.roots:
@@ -199,10 +204,11 @@ def canonical_shift(
     weighted root sum that passes validation at the requested radius.
     """
     rho = weighted_root_sum(system)
+    points = lattice.points(Fraction(radius))
     for d in range(1, max_denominator_index + 1):
         eps = Fraction(1, 2 * d + 1)
         try:
-            return validate_generic(system, lattice, scale(eps, rho), mode, radius)
+            return validate_generic(system, lattice, scale(eps, rho), mode, radius, _points=points)
         except (NotRegular, FloorBoundary, NotInChamber, NotSmall):
             continue
     raise InvariantViolation("no canonical shift found; data is degenerate")

@@ -133,6 +133,7 @@ class RestrictedRootSystem:
         self.name = name
         self._weyl: WeylGroup | None = None
         self._chamber_pos: dict[Mat, tuple[Vec, ...]] = {}
+        self._chamber_of: dict[Vec, WeylElement] = {}
         self._validate()
 
     # -- pairings ------------------------------------------------------
@@ -249,7 +250,12 @@ class RestrictedRootSystem:
 
         Walks v into the base chamber by simple reflections (picking the
         smallest descent index at each step) and returns the inverse walk.
+        Results are cached by v; a vector on a wall is never cached, so it
+        raises ``NotRegular`` on every call.
         """
+        cached = self._chamber_of.get(v)
+        if cached is not None:
+            return cached
         walls = [a for a in self.roots if self.pairing(a, v) == 0]
         if walls:
             raise NotRegular(walls)
@@ -267,7 +273,9 @@ class RestrictedRootSystem:
             guard -= 1
             if guard < 0:
                 raise InvariantViolation("descent walk failed to terminate")
-        return group.from_word(word)
+        w = group.from_word(word)
+        self._chamber_of[v] = w
+        return w
 
     def length(self, w: WeylElement) -> int:
         """Number of indivisible positive roots sent to negative ones."""

@@ -17,19 +17,20 @@ import json
 from .catalog import CatalogEntry
 from .errors import RootQuiltError
 from .indices import (
-    MonotoneData,
+    ImplicationRow,
     QuiltClass,
     QuiltDatum,
     capping_area,
     capping_maslov,
     classify,
     filtration_weight,
+    implication_violations,
     monotone_data,
     parity_report,
     poincare_polynomial,
     quilt_index,
+    relative_degree,
     ugly_index,
-    zero_index_implication,
 )
 from .lattice import (
     GenericShift,
@@ -40,8 +41,9 @@ from .lattice import (
     validate_generic,
     weighted_root_sum,
 )
-from .linalg import Vec, format_rational, scale
+from .linalg import Vec, add, format_rational, gram_pair, scale
 from .ring import finitely_generated_witness, r_module_basis_check, triangularity_certificate
+from .roots import WeylElement
 from .triangle import boundary_deviation, build_triple, plane_model, solve_triangle, verify_hull
 
 REPORT_SCHEMA_ID = "quilt-suite-report/v1"
@@ -172,7 +174,6 @@ def _parallel_map(fn, ctx, tasks: list, jobs: int) -> list:
 @dataclass
 class _SweepContext:
     shift: GenericShift
-    md: MonotoneData
     points: list[Vec]
     elements: tuple
 
@@ -190,14 +191,26 @@ def _bad_ugly_task(ctx: _SweepContext, task: tuple[int, int]):
     return iq, iw, tag.value, idx, ok
 
 
-def _implication_task(ctx: _SweepContext, task: tuple[int, int, int, int]) -> bool:
-    iq_in, iw_in, iq_out, iw_out = task
-    return zero_index_implication(
-        (ctx.points[iq_in], ctx.elements[iw_in]),
-        (ctx.points[iq_out], ctx.elements[iw_out]),
-        ctx.shift,
-        ctx.md,
-    )
+def _add_implication_sweep(
+    report: Report, rows: list[ImplicationRow], gens: list[tuple[Vec, WeylElement]]
+) -> None:
+    """Report the implication over every ordered pair of generators.
+
+    ``rows[i]`` tabulates generator ``gens[i]``; a failing check names the
+    first violating pair in the order of the rows.
+    """
+    checked = len(rows) ** 2
+    violations, first = implication_violations(rows)
+    report.add_row("implication", "checked", checked)
+    report.add_row("implication", "holds", checked - violations)
+    detail = f"{checked} data pairs"
+    if first is not None:
+        (q_in, w_in), (q_out, w_out) = gens[first[0]], gens[first[1]]
+        detail += (
+            f"; first violation ({w_in.name};{_vec_str(q_in)})"
+            f" -> ({w_out.name};{_vec_str(q_out)})"
+        )
+    report.add_check("implication_sweep", violations == 0, detail)
 
 
 # -- the suite ----------------------------------------------------------------
@@ -295,7 +308,7 @@ def _run_suite(
         f"{n_gens} generators, {n_chords} chords",
     )
 
-    ctx = _SweepContext(shift, md, points, group.elements)
+    ctx = _SweepContext(shift, points, group.elements)
 
     # bad/ugly sweep
     stage["check"] = "bad_ugly_sweep"
@@ -325,19 +338,19 @@ def _run_suite(
     unique_min = (not others) or values[group.identity] < min(others)
     report.add_check("filtration_minimum", unique_min, "unique minimum at the identity")
 
-    # implication sweep
+    # implication sweep: one (degree, action, filtration) row per generator
     stage["check"] = "implication_sweep"
-    quads = [
-        (iq_in, iw_in, iq_out, iw_out)
-        for iq_in in range(len(points))
-        for iw_in in range(group.order)
-        for iq_out in range(len(points))
-        for iw_out in range(group.order)
+    x0_images = {w: w(md.x0) for w in group}
+    gens = [(q, w) for q in points for w in group]
+    rows = [
+        (
+            relative_degree(w, q, shift),
+            gram_pair(system.gram, add(q, shift.a), x0_images[w]),
+            values[w],
+        )
+        for q, w in gens
     ]
-    impl = _parallel_map(_implication_task, ctx, quads, jobs)
-    report.add_row("implication", "checked", len(impl))
-    report.add_row("implication", "holds", sum(1 for x in impl if x))
-    report.add_check("implication_sweep", all(impl), f"{len(impl)} data pairs")
+    _add_implication_sweep(report, rows, gens)
 
     # area = tau * maslov
     stage["check"] = "area_maslov_sweep"

@@ -159,6 +159,35 @@ def test_conflicting_orbit_multiplicities(tmp_path):
         load_catalog(_write_catalog(tmp_path, [entry]))
 
 
+def _a2_entry(**overrides):
+    entry = _a1_entry(
+        name="test-a2",
+        cartan_type={"family": "A", "rank": 2},
+        gram=[[2, -1], [-1, 2]],
+        orbits=[{"seed": [1, 0], "mult": 2}, {"seed": [0, 1], "mult": 2}],
+        lattice_basis=[[1, 0], [0, 1]],
+        base_point=[1, 1],
+        dim_lambda=6,
+    )
+    entry.update(overrides)
+    return entry
+
+
+def test_single_seed_a2_names_the_fix(tmp_path):
+    # one length orbit, but a lone seed closes only to {(1,0), (-1,0)}
+    path = _write_catalog(tmp_path, [_a2_entry(orbits=[{"seed": [1, 0], "mult": 2}])])
+    with pytest.raises(InvariantViolation, match="span 1 of 2 dimensions; seed the simple roots"):
+        load_catalog(path)
+    path = _write_catalog(tmp_path, [_a2_entry()])
+    assert len(load_catalog(path)[0].system.roots) == 6
+
+
+def test_wrong_length_seed_is_schema_error(tmp_path):
+    path = _write_catalog(tmp_path, [_a2_entry(orbits=[{"seed": [1, 0, 0], "mult": 2}])])
+    with pytest.raises(SchemaError, match="needs 2 coordinates"):
+        load_catalog(path)
+
+
 def test_duplicate_names_rejected(tmp_path):
     with pytest.raises(SchemaError, match="duplicate"):
         load_catalog(_write_catalog(tmp_path, [_a1_entry(), _a1_entry()]))

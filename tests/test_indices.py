@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootquilt import (
     Mode,
@@ -17,6 +19,8 @@ from rootquilt import (
     classify,
     default_tau,
     filtration_weight,
+    get_entry,
+    implication_violations,
     monotone_data,
     morse_index,
     parity_report,
@@ -28,6 +32,7 @@ from rootquilt import (
     zero_index_implication,
 )
 from rootquilt.lattice import canonical_shift
+from rootquilt.suite import run_suite
 
 from conftest import make_rank1, make_rank1_lattice
 
@@ -188,6 +193,53 @@ def test_zero_index_implication_exhaustive_ai_a2(ai_a2):
     assert all(
         zero_index_implication(d_in, d_out, shift, md) for d_in in data for d_out in data
     )
+
+
+@pytest.mark.parametrize("name,radius", [("group-a1", 3), ("ai-a2", 2), ("eiv-a2", 1)])
+def test_implication_table_matches_pairwise_oracle(name, radius):
+    entry = get_entry(name)
+    report = run_suite(entry, radius=F(radius))
+    values = {(r["section"], r["item"]): r["value"] for r in report.rows}
+    shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(radius))
+    md = monotone_data(entry.system)
+    data = [(q, w) for q in shift.window_points() for w in entry.system.weyl_group()]
+    oracle = [zero_index_implication(d_in, d_out, shift, md) for d_in in data for d_out in data]
+    assert values[("implication", "checked")] == str(len(oracle))
+    assert values[("implication", "holds")] == str(sum(oracle))
+
+
+def test_implication_violations_equal_actions_hold():
+    rows = [(0, F(1), F(0)), (0, F(1), F(5)), (0, F(1), F(5))]
+    assert implication_violations(rows) == (0, None)
+
+
+def test_implication_violations_equal_filtrations_with_action_drop():
+    rows = [(0, F(2), F(1, 3)), (0, F(1), F(1, 3))]
+    # (0, 1) drops the action but not the filtration; (1, 0) raises the action
+    assert implication_violations(rows) == (1, (0, 1))
+
+
+def test_implication_violations_over_two_degree_groups():
+    rows = [(0, F(5), F(0)), (1, F(3), F(0)), (0, F(1), F(1)), (1, F(1), F(0))]
+    # (0, 2) in degree 0 and (1, 3) in degree 1 violate; (1, 2) drops the
+    # action without a filtration drop too, but its degrees differ
+    assert implication_violations(rows) == (2, (0, 2))
+
+
+_row = st.tuples(
+    st.integers(0, 2), st.fractions(-2, 2, max_denominator=3), st.fractions(0, 2, max_denominator=3)
+)
+
+
+@given(st.lists(_row, max_size=12))
+def test_implication_violations_match_brute_force(rows):
+    bad = [
+        (i, j)
+        for i, (deg_in, act_in, fil_in) in enumerate(rows)
+        for j, (deg_out, act_out, fil_out) in enumerate(rows)
+        if deg_in == deg_out and act_in > act_out and not fil_in > fil_out
+    ]
+    assert implication_violations(rows) == (len(bad), bad[0] if bad else None)
 
 
 def test_capping_worked_values(group_a1):

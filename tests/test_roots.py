@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootquilt import InvariantViolation, NotRegular, RestrictedRootSystem, UnknownRoot
+from rootquilt import InvariantViolation, NotRegular, RestrictedRootSystem, UnknownRoot, get_entry
+from rootquilt.lattice import canonical_shift
 from rootquilt.linalg import identity, mat_mul, mat_vec
 
 
@@ -195,6 +196,28 @@ def test_chamber_of_not_regular():
     sys_ = make_a2()
     with pytest.raises(NotRegular):
         sys_.chamber_of((F(1), F(-1)))
+
+
+@pytest.mark.parametrize("name", ["group-a2", "eiv-a2"])
+def test_chamber_of_memo_matches_fresh_system(name):
+    entry = get_entry(name)
+    sys_ = entry.system
+    shift = canonical_shift(sys_, entry.lattice, radius=F(3))
+    for q in shift.window_points():
+        v = tuple(x + a for x, a in zip(q, shift.a))
+        first = sys_.chamber_of(v)
+        hit = sys_.chamber_of(v)
+        fresh = RestrictedRootSystem(sys_.gram, sys_.roots, sys_.mult, sys_.base_point)
+        expected = fresh.chamber_of(v)
+        assert hit is first
+        assert (hit.matrix, hit.word) == (expected.matrix, expected.word)
+
+
+def test_chamber_of_wall_raises_every_time():
+    sys_ = make_a2()
+    for _ in range(2):
+        with pytest.raises(NotRegular):
+            sys_.chamber_of((F(1), F(-1)))
 
 
 def test_length_identity_and_simple(group_a1):

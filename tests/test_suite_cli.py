@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from rootquilt import get_entry
-from rootquilt.suite import emit, run_suite
+from rootquilt.suite import Report, _add_implication_sweep, emit, run_suite
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -61,6 +61,31 @@ def test_suite_jobs_do_not_change_bytes(group_a1):
     serial = emit(run_suite(group_a1, radius=F(2), jobs=1), "json")
     parallel = emit(run_suite(group_a1, radius=F(2), jobs=4), "json")
     assert serial == parallel
+
+
+def _synthetic_sweep(group_a1, filtrations):
+    W = group_a1.system.weyl_group()
+    gens = [(q, w) for q in ((F(0),), (F(1),)) for w in W]
+    rows = [(0, F(len(gens) - i), fil) for i, fil in enumerate(filtrations)]
+    report = Report("synthetic", "verify", {})
+    _add_implication_sweep(report, rows, gens)
+    return report
+
+
+def test_implication_failure_names_first_violating_pair(group_a1):
+    # actions fall along the rows; filtrations 3,2,2,1 fail first on rows 1 -> 2
+    report = _synthetic_sweep(group_a1, [F(3), F(2), F(2), F(1)])
+    [check] = report.checks
+    assert check.status == "fail"
+    assert check.detail == "16 data pairs; first violation (s1;0) -> (e;1)"
+    assert report.rows[1] == {"section": "implication", "item": "holds", "value": "15"}
+
+
+def test_implication_pass_detail_is_the_pair_count(group_a1):
+    report = _synthetic_sweep(group_a1, [F(4), F(3), F(2), F(1)])
+    [check] = report.checks
+    assert (check.status, check.detail) == ("pass", "16 data pairs")
+    assert report.rows[1]["value"] == "16"
 
 
 def test_suite_includes_triangle_when_requested(group_a1):
