@@ -239,8 +239,12 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
     )
 
 
-def load_catalog(path: str | None = None) -> list[CatalogEntry]:
-    """Load and fully validate a catalog file (the built-in one by default)."""
+def _read_entries(path: str | None) -> list[dict]:
+    """Parse a catalog file and validate the whole document against the schema.
+
+    Returns the raw entries; building and validating each entry's system and
+    lattice is left to the caller, which may need only one of them.
+    """
     if path is None:
         text = resources.files("rootquilt").joinpath("data/catalog.json").read_text()
     else:
@@ -254,15 +258,20 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
         jsonschema.validate(doc, CATALOG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"catalog failed schema validation at {exc.json_path}: {exc.message}") from None
-    entries = [_entry_from_raw(raw) for raw in doc["entries"]]
-    names = [e.name for e in entries]
+    names = [raw["name"] for raw in doc["entries"]]
     if len(set(names)) != len(names):
         raise SchemaError("duplicate entry names in catalog")
-    return entries
+    return doc["entries"]
+
+
+def load_catalog(path: str | None = None) -> list[CatalogEntry]:
+    """Load and fully validate a catalog file (the built-in one by default)."""
+    return [_entry_from_raw(raw) for raw in _read_entries(path)]
 
 
 def get_entry(name: str, path: str | None = None) -> CatalogEntry:
-    for entry in load_catalog(path):
-        if entry.name == name:
-            return entry
+    """Load one entry; the document is validated whole, only this entry is built."""
+    for raw in _read_entries(path):
+        if raw["name"] == name:
+            return _entry_from_raw(raw)
     raise KeyError(f"no catalog entry named {name!r}")

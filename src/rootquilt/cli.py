@@ -32,6 +32,18 @@ def _parse_coords(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.strip().split(","))
 
 
+def _sample_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 4:
+        raise argparse.ArgumentTypeError(
+            f"{count} is too few; at least 4 are needed, one on each boundary arc"
+        )
+    return count
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", required=True, help="catalog entry name")
     p.add_argument("--catalog", default=None, help="path to a catalog file")
@@ -84,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_tri)
     p_tri.add_argument("--q", required=True, help="chord, lattice coords")
     p_tri.add_argument("--w", required=True, help="chamber word")
-    p_tri.add_argument("--samples", type=int, default=500)
+    p_tri.add_argument("--samples", type=_sample_count, default=500)
 
     return parser
 

@@ -191,6 +191,30 @@ def _bad_ugly_task(ctx: _SweepContext, task: tuple[int, int]):
     return iq, iw, tag.value, idx, ok
 
 
+def _add_bad_ugly_sweep(report: Report, results: list, points: list[Vec], elements) -> None:
+    """Report the index of every datum (q, w, q), in task order.
+
+    A failing check names the first datum whose index contradicts its class.
+    """
+    bad = ugly = 0
+    first_failure = None
+    for iq, iw, tag, idx, ok in results:
+        if tag == "bad":
+            bad += 1
+        else:
+            ugly += 1
+        datum = f"{elements[iw].name};{_vec_str(points[iq])}"
+        if not ok and first_failure is None:
+            first_failure = f"({datum}) {tag}:{idx}"
+        report.add_row("bad_ugly", datum, f"{tag}:{idx}")
+    report.add_row("bad_ugly", "bad_count", bad)
+    report.add_row("bad_ugly", "ugly_count", ugly)
+    detail = f"{bad} bad (index 0), {ugly} ugly (index > 0)"
+    if first_failure is not None:
+        detail += f"; first failure {first_failure}"
+    report.add_check("bad_ugly_sweep", first_failure is None, detail)
+
+
 def _add_implication_sweep(
     report: Report, rows: list[ImplicationRow], gens: list[tuple[Vec, WeylElement]]
 ) -> None:
@@ -314,20 +338,7 @@ def _run_suite(
     stage["check"] = "bad_ugly_sweep"
     tasks = [(iq, iw) for iq in range(len(points)) for iw in range(group.order)]
     results = _parallel_map(_bad_ugly_task, ctx, tasks, jobs)
-    bad = ugly = 0
-    all_ok = True
-    for iq, iw, tag, idx, ok in results:
-        all_ok = all_ok and ok
-        if tag == "bad":
-            bad += 1
-        else:
-            ugly += 1
-        report.add_row(
-            "bad_ugly", f"{group.elements[iw].name};{_vec_str(points[iq])}", f"{tag}:{idx}"
-        )
-    report.add_row("bad_ugly", "bad_count", bad)
-    report.add_row("bad_ugly", "ugly_count", ugly)
-    report.add_check("bad_ugly_sweep", all_ok, f"{bad} bad (index 0), {ugly} ugly (index > 0)")
+    _add_bad_ugly_sweep(report, results, points, group.elements)
 
     # filtration table
     stage["check"] = "filtration_minimum"
@@ -415,16 +426,18 @@ def _run_suite(
         report.add_advisory("triangularity", f"window too small for sectors: {names}")
         report.add_advisory("finitely_generated", "skipped: incomplete certificate")
 
-    # optional triangle solves
+    # optional triangle models: the conformal map does not depend on (q, w),
+    # so it is solved and checked once and shared by every model
     stage["check"] = "triangle"
+    if triangle_data:
+        sol = solve_triangle(quad_nodes, tol=max(tol, 1e-8))
+        hull = verify_hull(sol, samples=500, tol=tol)
+        bdry = boundary_deviation(sol, samples=500)
     for q_coords, word in triangle_data:
         q = entry.lattice.from_coords(q_coords)
         w = group.from_word(word)
         triple = build_triple(q, w, shift, md)
         plane_model(triple)  # raises if the reduction is inconsistent
-        sol = solve_triangle(quad_nodes, tol=max(tol, 1e-8))
-        hull = verify_hull(sol, samples=500, tol=tol)
-        bdry = boundary_deviation(sol, samples=500)
         label = f"{w.name};{_vec_str(q)}"
         report.add_row("triangle", f"{label}:p12", _vec_str(triple.p12))
         report.add_row("triangle", f"{label}:p23", _vec_str(triple.p23))

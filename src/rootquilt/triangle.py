@@ -256,15 +256,9 @@ def _corner_integral(k: int, nodes: int) -> complex:
     return zk * 2.0 ** (bk - 1.0) * np.sum(wts * g)
 
 
-def _segment_breaks(dist: float) -> np.ndarray:
-    """Dyadic refinement of [0, 1] toward t = 1, tuned to the distance
-    between the path endpoint and the nearest prevertex."""
-    if dist >= 0.5:
-        levels = 4
-    else:
-        levels = min(52, 4 + int(math.ceil(math.log2(2.0 / max(dist, 1e-15)))))
-    pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
-    return np.array(pts)
+# Complex values per (points x panels x nodes) evaluation block, so the
+# temporaries of a batched path integral stay small.
+_BLOCK_VALUES = 2048
 
 
 class TriangleMapSolution:
@@ -298,37 +292,58 @@ class TriangleMapSolution:
 
     # -- evaluation ----------------------------------------------------
 
-    def _path_integral(self, z: complex) -> complex:
-        """Integral of the derivative along the straight path from 0 to z."""
-        if z == 0:
-            return 0.0 + 0.0j
-        dist = min(abs(z - zk) for zk in PREVERTICES)
-        for k, zk in enumerate(PREVERTICES):
-            if abs(z - zk) < 1e-14:
-                return self._corner_integrals[k]
-        breaks = _segment_breaks(dist)
-        t0 = breaks[:-1]
-        t1 = breaks[1:]
-        half = (t1 - t0) / 2.0
-        mid = (t1 + t0) / 2.0
-        t = (mid[:, None] + half[:, None] * self._gl_nodes[None, :]).ravel()
-        vals = _sc_derivative(z * t).reshape(len(t0), -1)
-        per_panel = half * np.sum(vals * self._gl_weights[None, :], axis=1)
-        return z * np.sum(per_panel)
+    def _path_integrals(self, zs: np.ndarray) -> np.ndarray:
+        """Integrals of the derivative along the straight paths from 0 to each point.
+
+        Each path is split into dyadic panels toward t = 1, more of them the
+        closer its endpoint lies to a prevertex.  Points with the same panel
+        count are evaluated together, one (points x panels x Gauss-Legendre
+        nodes) block at a time.  The origin and the prevertices themselves
+        take their exact values.
+        """
+        out = np.zeros(zs.shape, dtype=complex)
+        gaps = np.abs(zs[:, None] - np.array(PREVERTICES)[None, :])
+        for k, corner_integral in enumerate(self._corner_integrals):
+            out[gaps[:, k] < 1e-14] = corner_integral
+        dist = gaps.min(axis=1)
+        live = (zs != 0) & (dist >= 1e-14)
+        levels = np.full(zs.shape, 4)
+        near = live & (dist < 0.5)
+        levels[near] = [
+            min(52, 4 + int(math.ceil(math.log2(2.0 / max(d, 1e-15)))))
+            for d in dist[near].tolist()
+        ]
+        for level in sorted(set(levels[live].tolist())):
+            breaks = np.array([0.0] + [1.0 - 0.5**j for j in range(1, level + 1)] + [1.0])
+            half = (breaks[1:] - breaks[:-1]) / 2.0
+            mid = (breaks[1:] + breaks[:-1]) / 2.0
+            t = mid[:, None] + half[:, None] * self._gl_nodes[None, :]
+            idx = np.flatnonzero(live & (levels == level))
+            step = max(1, _BLOCK_VALUES // t.size)
+            for chunk in np.split(idx, range(step, len(idx), step)):
+                z = zs[chunk]
+                vals = _sc_derivative(z[:, None, None] * t[None, :, :])
+                per_panel = half * np.sum(vals * self._gl_weights, axis=2)
+                out[chunk] = z * np.sum(per_panel, axis=1)
+        return out
 
     def map_point(self, z: complex) -> complex:
-        """Image of a disk point; the real and imaginary parts are (x, y).
+        """Image of a disk point; the real and imaginary parts are (x, y)."""
+        return self.map_points(np.array([z]))[0]
+
+    def map_points(self, zs) -> np.ndarray:
+        """Images of an array of disk points, in the shape of the input.
 
         The disk variable enters through its conjugate: the boundary
         correspondence reverses orientation, so the solution is
         conjugate-conformal.
         """
-        if abs(z) > 1.0 + 1e-12:
+        zs = np.asarray(zs, dtype=complex)
+        flat = zs.ravel()
+        if np.any(np.abs(flat) > 1.0 + 1e-12):
             raise ValueError("point outside the closed unit disk")
-        return self.offset + self.scale * self._path_integral(np.conj(z))
-
-    def map_points(self, zs) -> np.ndarray:
-        return np.array([self.map_point(z) for z in np.asarray(zs, dtype=complex)])
+        images = self.offset + self.scale * self._path_integrals(np.conj(flat))
+        return images.reshape(zs.shape)
 
     def corner_images(self) -> tuple[complex, complex, complex]:
         """Images of the public prevertices 1, i, -i."""
@@ -349,15 +364,15 @@ class TriangleMapSolution:
         vanish is d/dx - i d/dy applied to the map.
         """
         h = 0.5 / self.nodes
-        centers = [0.0 + 0.0j] + [
-            0.4 * np.exp(1j * k * math.pi / 4) for k in range(8)
-        ]
-        worst = 0.0
-        for c in centers:
-            fx = (self.map_point(c + h) - self.map_point(c - h)) / (2 * h)
-            fy = (self.map_point(c + 1j * h) - self.map_point(c - 1j * h)) / (2 * h)
-            worst = max(worst, abs(fx - 1j * fy))
-        return worst
+        centers = np.array(
+            [0.0 + 0.0j] + [0.4 * np.exp(1j * k * math.pi / 4) for k in range(8)]
+        )
+        f = self.map_points(
+            np.stack([centers + h, centers - h, centers + 1j * h, centers - 1j * h])
+        )
+        fx = (f[0] - f[1]) / (2 * h)
+        fy = (f[2] - f[3]) / (2 * h)
+        return float(np.max(np.abs(fx - 1j * fy)))
 
 
 def solve_triangle(nodes: int = 256, tol: float = 1e-8) -> TriangleMapSolution:
@@ -384,19 +399,21 @@ def interior_samples(count: int, radius: float = 0.98) -> np.ndarray:
     return r * np.exp(1j * golden * j)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 4:
+        raise ValueError("at least 4 samples are required, one on each boundary arc")
+
+
 def verify_hull(sol: TriangleMapSolution, samples: int = 500, tol: float = 1e-9) -> HullReport:
     """Check that interior points map inside the triangle, within tolerance."""
+    _check_samples(samples)
     zs = interior_samples(samples)
-    worst = -math.inf
-    worst_z = 0j
-    for z in zs:
-        wpt = sol.map_point(z)
-        x, y = wpt.real, wpt.imag
-        violation = max(-x, -y, x + y - 1.0)
-        if violation > worst:
-            worst = violation
-            worst_z = z
-    return HullReport(samples, tol, worst, worst_z, worst <= tol)
+    images = sol.map_points(zs)
+    x, y = images.real, images.imag
+    violations = np.maximum(np.maximum(-x, -y), x + y - 1.0)
+    i = int(np.argmax(violations))  # the first of the worst points
+    worst = float(violations[i])
+    return HullReport(samples, tol, worst, complex(zs[i]), worst <= tol)
 
 
 @dataclass
@@ -412,21 +429,17 @@ def boundary_deviation(sol: TriangleMapSolution, samples: int = 500) -> Boundary
     Arcs (by angle): (-pi/2, 0) must land on x = 0, (0, pi/2) on
     x + y = 1, and (pi/2, 3 pi/2) on y = 0.
     """
+    _check_samples(samples)
     quarter = samples // 4
     arcs = [
-        (-math.pi / 2, 0.0, quarter, lambda w: abs(w.real)),
-        (0.0, math.pi / 2, quarter, lambda w: abs(w.real + w.imag - 1.0) / math.sqrt(2)),
-        (math.pi / 2, 3 * math.pi / 2, samples - 2 * quarter, lambda w: abs(w.imag)),
+        (-math.pi / 2, 0.0, quarter, lambda w: np.abs(w.real)),
+        (0.0, math.pi / 2, quarter, lambda w: np.abs(w.real + w.imag - 1.0) / math.sqrt(2)),
+        (math.pi / 2, 3 * math.pi / 2, samples - 2 * quarter, lambda w: np.abs(w.imag)),
     ]
-    per_arc = []
-    for th0, th1, n, dist in arcs:
-        worst = 0.0
-        for i in range(n):
-            th = th0 + (i + 0.5) * (th1 - th0) / n
-            w = sol.map_point(np.exp(1j * th))
-            worst = max(worst, dist(w))
-        per_arc.append(worst)
-    return BoundaryReport(samples, max(per_arc), tuple(per_arc))
+    thetas = [th0 + (np.arange(n) + 0.5) * (th1 - th0) / n for th0, th1, n, _ in arcs]
+    images = np.split(sol.map_points(np.exp(1j * np.concatenate(thetas))), [quarter, 2 * quarter])
+    per_arc = tuple(float(np.max(dist(w))) for (_, _, _, dist), w in zip(arcs, images))
+    return BoundaryReport(samples, max(per_arc), per_arc)
 
 
 def _mobius_through(src: tuple[complex, complex, complex], dst: tuple[complex, complex, complex]):
@@ -451,13 +464,10 @@ def symmetry_residual(sol: TriangleMapSolution, samples: int = 64) -> float:
     """
     p, q, r, s = _mobius_through((1.0 + 0j, -1.0j, 1.0j), (1.0j, 1.0 + 0j, -1.0j))
 
-    def sigma(z: complex) -> complex:
+    def sigma(z: np.ndarray) -> np.ndarray:
         zc = np.conj(z)
         return (p * zc + q) / (r * zc + s)
 
-    worst = 0.0
-    for z in interior_samples(samples, radius=0.85):
-        lhs = sol.map_point(sigma(z))
-        rhs = 1j * np.conj(sol.map_point(z))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    zs = interior_samples(samples, radius=0.85)
+    lhs, rhs = np.split(sol.map_points(np.concatenate([sigma(zs), zs])), 2)
+    return float(np.max(np.abs(lhs - 1j * np.conj(rhs))))

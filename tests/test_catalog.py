@@ -8,7 +8,7 @@ import pytest
 
 from rootquilt import InvariantViolation, SchemaError, load_catalog
 from rootquilt.catalog import CATALOG_SCHEMA_ID, get_entry
-from rootquilt.suite import REPORT_SCHEMA, Report, emit
+from rootquilt.suite import REPORT_SCHEMA, Report, emit, run_suite
 
 
 def test_builtins_load(catalog):
@@ -38,6 +38,30 @@ def test_eiv_entry():
     assert entry.system.weyl_group().order == 6
     assert entry.dim_lambda == 24
     assert "F4" in entry.provenance
+
+
+def test_get_entry_builds_the_entry_load_catalog_builds(catalog):
+    assert len(catalog) == 6
+    for full in catalog:
+        one = get_entry(full.name)
+        assert emit(run_suite(one, radius=F(2))) == emit(run_suite(full, radius=F(2)))
+
+
+def test_get_entry_missing_name_is_key_error():
+    with pytest.raises(KeyError, match="no catalog entry named 'nope'"):
+        get_entry("nope")
+
+
+def test_get_entry_validates_the_whole_document(tmp_path):
+    broken = _a1_entry(name="broken", dim_lambda=3)
+    path = _write_catalog(tmp_path, [_a1_entry(), broken])
+    assert get_entry("test-a1", path).name == "test-a1"  # only the named entry is built
+    with pytest.raises(InvariantViolation):
+        get_entry("broken", path)
+    with pytest.raises(SchemaError, match="duplicate"):
+        get_entry("test-a1", _write_catalog(tmp_path, [_a1_entry(), _a1_entry()]))
+    with pytest.raises(SchemaError, match="schema validation"):
+        get_entry("test-a1", _write_catalog(tmp_path, [_a1_entry(), {"name": "x"}]))
 
 
 def test_multiplicity_equivariance_full_group(catalog):

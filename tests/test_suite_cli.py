@@ -7,8 +7,17 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from rootquilt import get_entry
-from rootquilt.suite import Report, _add_implication_sweep, emit, run_suite
+import pytest
+
+from rootquilt import get_entry, suite
+from rootquilt.cli import main
+from rootquilt.suite import (
+    Report,
+    _add_bad_ugly_sweep,
+    _add_implication_sweep,
+    emit,
+    run_suite,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -72,6 +81,32 @@ def _synthetic_sweep(group_a1, filtrations):
     return report
 
 
+def _bad_ugly_report(results):
+    points = [(F(0),), (F(1),)]
+    elements = get_entry("group-a1").system.weyl_group().elements
+    report = Report("t", "verify", {})
+    _add_bad_ugly_sweep(report, results, points, elements)
+    return report
+
+
+def test_bad_ugly_failure_names_first_failing_datum():
+    results = [
+        (0, 0, "bad", 0, True),
+        (0, 1, "ugly", 0, False),
+        (1, 0, "bad", 2, False),
+        (1, 1, "ugly", 3, True),
+    ]
+    check = _bad_ugly_report(results).checks[0]
+    assert check.status == "fail"
+    assert check.detail == "2 bad (index 0), 2 ugly (index > 0); first failure (s1;0) ugly:0"
+
+
+def test_bad_ugly_pass_detail_is_the_class_counts():
+    results = [(0, 0, "bad", 0, True), (1, 1, "ugly", 3, True)]
+    check = _bad_ugly_report(results).checks[0]
+    assert (check.status, check.detail) == ("pass", "1 bad (index 0), 1 ugly (index > 0)")
+
+
 def test_implication_failure_names_first_violating_pair(group_a1):
     # actions fall along the rows; filtrations 3,2,2,1 fail first on rows 1 -> 2
     report = _synthetic_sweep(group_a1, [F(3), F(2), F(2), F(1)])
@@ -86,6 +121,30 @@ def test_implication_pass_detail_is_the_pair_count(group_a1):
     [check] = report.checks
     assert (check.status, check.detail) == ("pass", "16 data pairs")
     assert report.rows[1]["value"] == "16"
+
+
+def test_suite_solves_the_triangle_map_once(group_a1, monkeypatch):
+    calls = []
+    solve = suite.solve_triangle
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "solve_triangle", counting_solve)
+    specs = (((1,), (0,)), ((2,), ()), ((-1,), (0,)))
+    report = run_suite(group_a1, radius=F(2), triangle_data=specs)
+    assert len(calls) == 1
+    residuals = {}
+    for row in report.rows:
+        if row["section"] == "triangle" and not row["item"].endswith(("p12", "p23", "p13")):
+            label, kind = row["item"].split(":")
+            residuals.setdefault(label, {})[kind] = row["value"]
+    assert list(residuals) == ["s1;1", "e;2", "s1;-1"]
+    assert len({tuple(sorted(r.items())) for r in residuals.values()}) == 1
+    assert all(s == "pass" for n, s in check_status(report).items() if n.startswith("triangle["))
+    run_suite(group_a1, radius=F(2))
+    assert len(calls) == 1
 
 
 def test_suite_includes_triangle_when_requested(group_a1):
@@ -180,6 +239,21 @@ def test_cli_triangle():
     values = {r["item"]: r["value"] for r in doc["rows"]}
     assert float(values["corner_residual"]) < 1e-8
     assert float(values["hull_violation"]) <= 1e-9
+
+
+@pytest.mark.parametrize("samples", ["0", "3", "-1", "many"])
+def test_cli_triangle_rejects_too_few_samples(samples, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["triangle", "--pair", "group-a1", "--q", "1", "--w", "1", "--samples", samples])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err and "argument --samples" in err
+
+
+def test_cli_triangle_accepts_four_samples(capsys):
+    argv = ["triangle", "--pair", "group-a1", "--q", "1", "--w", "1", "--quad-nodes", "64"]
+    assert main([*argv, "--samples", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 def test_cli_unknown_pair_fails():

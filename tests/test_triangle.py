@@ -1,7 +1,9 @@
 """Affine triple construction, plane reduction, and the conformal solve."""
 
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from rootquilt import (
@@ -21,6 +23,8 @@ from rootquilt import (
 from rootquilt.lattice import canonical_shift
 from rootquilt.triangle import (
     EXPONENTS,
+    PREVERTICES,
+    _sc_derivative,
     boundary_deviation,
     interior_samples,
     segment_in_closed_chamber,
@@ -174,3 +178,97 @@ def test_interior_samples_stay_inside():
 
 def test_side_ratio_residual(solved_256):
     assert solved_256.side_ratio_residual < 1e-10
+
+
+# -- batched evaluation against the scalar path it replaced ----------------
+
+
+def _segment_breaks(dist: float) -> np.ndarray:
+    """Dyadic refinement of [0, 1] toward t = 1, tuned to the distance
+    between the path endpoint and the nearest prevertex."""
+    if dist >= 0.5:
+        levels = 4
+    else:
+        levels = min(52, 4 + int(math.ceil(math.log2(2.0 / max(dist, 1e-15)))))
+    pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
+    return np.array(pts)
+
+
+def _scalar_path_integral(self, z: complex) -> complex:
+    """Integral of the derivative along the straight path from 0 to z."""
+    if z == 0:
+        return 0.0 + 0.0j
+    dist = min(abs(z - zk) for zk in PREVERTICES)
+    for k, zk in enumerate(PREVERTICES):
+        if abs(z - zk) < 1e-14:
+            return self._corner_integrals[k]
+    breaks = _segment_breaks(dist)
+    t0 = breaks[:-1]
+    t1 = breaks[1:]
+    half = (t1 - t0) / 2.0
+    mid = (t1 + t0) / 2.0
+    t = (mid[:, None] + half[:, None] * self._gl_nodes[None, :]).ravel()
+    vals = _sc_derivative(z * t).reshape(len(t0), -1)
+    per_panel = half * np.sum(vals * self._gl_weights[None, :], axis=1)
+    return z * np.sum(per_panel)
+
+
+def _scalar_map_point(sol, z: complex) -> complex:
+    return sol.offset + sol.scale * _scalar_path_integral(sol, np.conj(z))
+
+
+def _differential_points() -> np.ndarray:
+    near = []
+    for zk in PREVERTICES:
+        near += [zk * (1 - 1e-9), zk * np.exp(1e-9j), zk * np.exp(-3e-10j), zk * (1 - 1e-15)]
+    boundary = np.exp(1j * np.linspace(-math.pi, math.pi, 97))
+    return np.concatenate([interior_samples(200), boundary, [0j], PREVERTICES, near])
+
+
+@pytest.mark.parametrize("nodes", [64, 256])
+def test_map_points_matches_scalar_path(nodes):
+    sol = solve_triangle(nodes)
+    zs = _differential_points()
+    batched = sol.map_points(zs)
+    scalar = np.array([_scalar_map_point(sol, z) for z in zs])
+    assert batched.shape == zs.shape
+    assert np.max(np.abs(batched - scalar)) <= 1e-14
+    assert sol.map_point(zs[0]) == batched[0]
+
+
+def test_map_points_keeps_input_shape(solved_256):
+    zs = interior_samples(12).reshape(3, 4)
+    assert np.array_equal(solved_256.map_points(zs), solved_256.map_points(zs.ravel()).reshape(3, 4))
+
+
+def test_map_points_rejects_points_outside_the_disk(solved_256):
+    with pytest.raises(ValueError, match="outside the closed unit disk"):
+        solved_256.map_points([0.5j, 1.0 + 1e-9])
+    with pytest.raises(ValueError, match="outside the closed unit disk"):
+        solved_256.map_point(-1.1)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 3])
+def test_too_few_samples_certify_nothing(solved_256, samples):
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        verify_hull(solved_256, samples=samples)
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        boundary_deviation(solved_256, samples=samples)
+
+
+def test_four_samples_cover_every_arc(solved_256):
+    report = boundary_deviation(solved_256, samples=4)
+    assert len(report.per_arc) == 3 and report.max_deviation < 1e-6
+    assert verify_hull(solved_256, samples=4).passed
+
+
+def test_hull_reports_the_first_of_equally_worst_points():
+    class FlatMap:
+        """Every point lands on the same interior point."""
+
+        def map_points(self, zs):
+            return np.full(len(zs), 0.25 + 0.25j)
+
+    report = verify_hull(FlatMap(), samples=10)
+    assert report.max_violation == -0.25
+    assert report.worst_point == interior_samples(10)[0]
