@@ -82,6 +82,9 @@ CATALOG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would re-check the schema itself on every call.
+_CATALOG_VALIDATOR = jsonschema.Draft202012Validator(CATALOG_SCHEMA)
+
 _ROOT_COUNT = {
     "A": lambda r: r * (r + 1),
     "B": lambda r: 2 * r * r,
@@ -216,15 +219,11 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
             raise InvariantViolation(
                 f"entry {name!r}: weighted root sum is not strictly dominant"
             )
-    lattice = Lattice(system, basis)
+    try:
+        lattice = Lattice(system, basis)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"entry {name!r}: {exc}") from None
     lattice.check_weyl_stable()
-    for b in lattice.basis:
-        for al in system.roots:
-            val = 2 * system.pairing(al, b)
-            if val.denominator != 1:
-                raise InvariantViolation(
-                    f"entry {name!r}: 2*alpha(q) not integral for basis vector {b}"
-                )
     return CatalogEntry(
         name=name,
         kind=raw["kind"],
@@ -254,10 +253,9 @@ def _read_entries(path: str | None) -> list[dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"catalog is not valid JSON: line {exc.lineno}: {exc.msg}") from None
-    try:
-        jsonschema.validate(doc, CATALOG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"catalog failed schema validation at {exc.json_path}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_CATALOG_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise SchemaError(f"catalog failed schema validation at {error.json_path}: {error.message}")
     names = [raw["name"] for raw in doc["entries"]]
     if len(set(names)) != len(names):
         raise SchemaError("duplicate entry names in catalog")

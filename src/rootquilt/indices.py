@@ -9,6 +9,11 @@ decides when differentials are forced to vanish.
 Degrees are relative: only differences of floor sums are meaningful, so a
 fixed sign convention (floor sum over the positive system of w X0) is used
 throughout and no absolute grading is exposed.
+
+The per-datum functions evaluate each quantity directly in exact rational
+arithmetic.  ``IndexTable`` holds the same quantities over a whole window as
+integers, built once per shift; the suite's sweeps read the table, and the
+per-datum functions remain its oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import FloorBoundary, InvariantViolation, ModeMismatch, NotDominant, NotUgly
 from .lattice import GenericShift, Mode, weighted_root_sum
@@ -268,10 +273,13 @@ def morse_index(w: WeylElement, shift: GenericShift) -> int:
 def poincare_polynomial(shift: GenericShift) -> list[int]:
     """Coefficient k counts chamber elements of Morse index k."""
     system = shift.system
-    top = system.dim_lambda()
+    return _poincare(system.dim_lambda(), [morse_index(w, shift) for w in system.weyl_group()])
+
+
+def _poincare(top: int, morse: Sequence[int]) -> list[int]:
     coeffs = [0] * (top + 1)
-    for w in system.weyl_group():
-        coeffs[morse_index(w, shift)] += 1
+    for k in morse:
+        coeffs[k] += 1
     return coeffs
 
 
@@ -302,12 +310,16 @@ def parity_report(shift: GenericShift, coefficients: str = "Z") -> ParityReport:
     ``coefficients`` flag selects.
     """
     system = shift.system
-    all_even = all(m % 2 == 0 for m in system.mult.values())
     degrees = [
         relative_degree(w, q, shift)
         for w in system.weyl_group()
         for q in shift.window_points()
     ]
+    return _parity(system.mult.values(), degrees, coefficients)
+
+
+def _parity(mults: Iterable[int], degrees: Sequence[int], coefficients: str) -> ParityReport:
+    all_even = all(m % 2 == 0 for m in mults)
     even = sum(1 for d in degrees if d % 2 == 0)
     odd = len(degrees) - even
     if all_even:
@@ -319,3 +331,95 @@ def parity_report(shift: GenericShift, coefficients: str = "Z") -> ParityReport:
     else:
         vanish = None
     return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
+
+
+class IndexTable:
+    """Integer tables of one generic shift over its window.
+
+    Since 2*alpha(q) is an integer at every lattice point q, the floor terms
+    f[q][alpha] = floor(2*alpha(q + a)) = 2*alpha(q) + floor(2*alpha(a)) are
+    integers read off two tables, and every per-datum quantity of ``verify``
+    is an integer sum over root indices:
+
+    - deg(w, q) = sum over R+(w) of m_alpha f[q][alpha];
+    - q + a lies in the chamber of the w whose positive system is the set of
+      roots with f[q][alpha] >= 0, found by its sign mask;
+    - the ugly index of (q, w) is the sum over R+(w_in) minus R+(w) of
+      m_alpha (2 f[q][alpha] + 1), where w_in is the chamber of q + a.
+
+    Window points are indexed in ``shift.window_points()`` order, chamber
+    elements in Weyl group order and roots in ``system.roots`` order.  The
+    per-datum functions of this module are the oracles these tables answer
+    for.
+    """
+
+    def __init__(self, shift: GenericShift):
+        system = shift.system
+        roots = system.roots
+        index = {al: i for i, al in enumerate(roots)}
+        two_alpha_a = [2 * system.pairing(al, shift.a) for al in roots]
+        for al, t in zip(roots, two_alpha_a):
+            if t.denominator == 1:
+                raise FloorBoundary(al, shift.a)
+        self.dim_lambda = system.dim_lambda()
+        self.small = shift.mode is Mode.SMALL_IN_CHAMBER
+        self.mult: tuple[int, ...] = tuple(system.mult[al] for al in roots)
+        self.floor_a: tuple[int, ...] = tuple(math.floor(t) for t in two_alpha_a)
+        # P[q][alpha] = 2*alpha(q), one row per window point
+        self.two_alpha_q = [shift.lattice.two_alpha(q) for q in shift.window_points()]
+        self.positive: tuple[frozenset[int], ...] = tuple(
+            frozenset(index[al] for al in system.chamber_positive_system(w))
+            for w in system.weyl_group()
+        )
+        self.by_mask = {sum(1 << i for i in pos): iw for iw, pos in enumerate(self.positive)}
+        self.floors = [
+            tuple(p + f for p, f in zip(row, self.floor_a)) for row in self.two_alpha_q
+        ]
+        self.chambers = [
+            self.by_mask[sum(1 << i for i, f in enumerate(row) if f >= 0)] for row in self.floors
+        ]
+        self.degrees = [
+            [sum(self.mult[i] * row[i] for i in pos) for pos in self.positive]
+            for row in self.floors
+        ]
+
+    def ugly_index(self, iq: int, iw: int) -> int:
+        """``ugly_index`` of window point iq against chamber element iw."""
+        w_in = self.chambers[iq]
+        if w_in == iw:
+            raise NotUgly("datum is bad, not ugly")
+        row = self.floors[iq]
+        flipped = self.positive[w_in] - self.positive[iw]
+        total = sum(self.mult[i] * (2 * row[i] + 1) for i in flipped)
+        if total != self.degrees[iq][w_in] - self.degrees[iq][iw]:
+            raise InvariantViolation("ugly index disagrees with the quilt index")
+        if total <= 0:
+            raise InvariantViolation("ugly index failed strict positivity")
+        return total
+
+    def morse_index(self, iw: int) -> int:
+        """``morse_index`` of chamber element iw."""
+        if not self.small:
+            raise ModeMismatch("morse_index requires a small-in-chamber shift")
+        pos = self.positive[iw]
+        by_count = sum(self.mult[i] for i in pos if self.floor_a[i] < 0)
+        by_floor = -sum(self.mult[i] * self.floor_a[i] for i in pos)
+        if by_count != by_floor:
+            raise InvariantViolation("the two Morse index formulas disagree")
+        return by_count
+
+    def poincare_polynomial(self) -> list[int]:
+        """``poincare_polynomial`` of the shift."""
+        morse = [self.morse_index(iw) for iw in range(len(self.positive))]
+        return _poincare(self.dim_lambda, morse)
+
+    def parity_report(self, coefficients: str = "Z") -> ParityReport:
+        """``parity_report`` of the shift."""
+        return _parity(self.mult, [d for row in self.degrees for d in row], coefficients)
+
+
+def index_table(shift: GenericShift) -> IndexTable:
+    """The integer tables of ``shift``, built on first use and kept on it."""
+    if shift._table is None:
+        shift._table = IndexTable(shift)
+    return shift._table

@@ -31,7 +31,12 @@ DEFAULT_POINT_CAP = 500_000
 
 
 class Lattice:
-    """A full-rank lattice in the Cartan space, given by a basis."""
+    """A full-rank lattice in the Cartan space, given by a basis.
+
+    Every root must take integer values 2*alpha(b) on the basis vectors, so
+    2*alpha(q) is an integer at every lattice point q; the table of these
+    integers is built once here.
+    """
 
     def __init__(self, system: RestrictedRootSystem, basis: Sequence[Vec]):
         self.system = system
@@ -48,6 +53,21 @@ class Lattice:
         bt = self.basis  # rows are basis vectors
         self._norm_matrix: Mat = mat_mul(bt, mat_mul(system.gram, transpose(bt)))
         self._inv_norm: Mat = inverse(self._norm_matrix)
+        # two_alpha_basis[i][j] = 2*alpha_i(b_j), alpha_i in system.roots order
+        table = []
+        for al in system.roots:
+            row = []
+            for b in self.basis:
+                val = 2 * system.pairing(al, b)
+                if val.denominator != 1:
+                    raise InvariantViolation(
+                        f"2*alpha(b) = {val} is not integral at root"
+                        f" alpha=({', '.join(map(str, al))})"
+                        f" and basis vector b=({', '.join(map(str, b))})"
+                    )
+                row.append(int(val))
+            table.append(tuple(row))
+        self.two_alpha_basis: tuple[tuple[int, ...], ...] = tuple(table)
 
     def from_coords(self, coords: Sequence) -> Vec:
         return mat_vec(self._basis_matrix, vec(coords))
@@ -57,6 +77,14 @@ class Lattice:
 
     def contains(self, v: Vec) -> bool:
         return is_integral(self.coords(v))
+
+    def two_alpha(self, q: Vec) -> tuple[int, ...]:
+        """The integers 2*alpha(q) of a lattice point q, in system.roots order."""
+        coords = self.coords(q)
+        if not is_integral(coords):
+            raise InvariantViolation(f"{q} is not a lattice point")
+        c = [int(x) for x in coords]
+        return tuple(sum(t * x for t, x in zip(row, c)) for row in self.two_alpha_basis)
 
     def check_weyl_stable(self) -> None:
         """Exact membership of every Weyl image of every basis vector."""
@@ -127,6 +155,7 @@ class GenericShift:
     mode: Mode
     window_radius: Fraction
     _points: list[Vec] | None = field(default=None, repr=False, compare=False)
+    _table: object = field(default=None, repr=False, compare=False)  # see indices.index_table
 
     def window_points(self) -> list[Vec]:
         if self._points is None:
@@ -151,6 +180,11 @@ def validate_generic(
     small-in-chamber mode that ``a`` lies in the base chamber with every
     |2*alpha(a)| < 1/2.
 
+    Since 2*alpha(q) is an integer at every lattice point, 2*alpha(q + a) is
+    an integer exactly when 2*alpha(a) is, so the floor boundaries are found
+    over the roots alone and reported at the first window point (the origin),
+    as a scan of the whole window would report them.
+
     The strict 1/2 matters: the filtration difference between a chamber
     element and the identity is a sum of terms m_alpha (1 - 4 alpha(a)) over
     flipped roots, so 1/2 is exactly the threshold below which the identity
@@ -165,18 +199,19 @@ def validate_generic(
     if walls:
         raise NotRegular(walls)
     points = lattice.points(radius, cap=cap) if _points is None else _points
-    for q in points:
-        qa = add(q, a)
-        for al in system.roots:
-            val = 2 * system.pairing(al, qa)
+    two_alpha_a = [2 * system.pairing(al, a) for al in system.roots]
+    if points:
+        q = points[0]
+        for al, val in zip(system.roots, two_alpha_a):
             if val.denominator == 1:
+                val = 2 * system.pairing(al, add(q, a))
                 raise FloorBoundary(al, q, f"2*alpha(q+a) = {val} at alpha={al}, q={q}")
     if mode is Mode.SMALL_IN_CHAMBER:
         for beta in system.simple_roots:
             if system.pairing(beta, a) <= 0:
                 raise NotInChamber(f"shift fails beta={beta}")
-        for al in system.roots:
-            if abs(2 * system.pairing(al, a)) >= Fraction(1, 2):
+        for al, val in zip(system.roots, two_alpha_a):
+            if abs(val) >= Fraction(1, 2):
                 raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={al}")
     shift = GenericShift(system, lattice, a, mode, radius)
     shift._points = points
@@ -202,11 +237,28 @@ def canonical_shift(
 
     Scans epsilon = 1/3, 1/5, 1/7, ... and returns the first scaling of the
     weighted root sum that passes validation at the requested radius.
+
+    Every check of ``validate_generic`` is read off the values at rho, since
+    alpha(epsilon * rho) = epsilon * alpha(rho): the sign conditions do not
+    depend on epsilon, and a candidate fails on a floor boundary or on
+    smallness exactly when some epsilon * 2*alpha(rho) is an integer or at
+    least 1/2 in size.  Only the first candidate passing these is validated.
     """
     rho = weighted_root_sum(system)
     points = lattice.points(Fraction(radius))
-    for d in range(1, max_denominator_index + 1):
+    two_alpha_rho = [2 * system.pairing(al, rho) for al in system.roots]
+    small = mode is Mode.SMALL_IN_CHAMBER
+    signs_ok = all(v != 0 for v in two_alpha_rho) and not (
+        small and any(system.pairing(beta, rho) <= 0 for beta in system.simple_roots)
+    )
+    candidates = range(1, max_denominator_index + 1) if signs_ok else ()
+    for d in candidates:
         eps = Fraction(1, 2 * d + 1)
+        values = [eps * v for v in two_alpha_rho]
+        if any(v.denominator == 1 for v in values):
+            continue
+        if small and any(abs(v) >= Fraction(1, 2) for v in values):
+            continue
         try:
             return validate_generic(system, lattice, scale(eps, rho), mode, radius, _points=points)
         except (NotRegular, FloorBoundary, NotInChamber, NotSmall):

@@ -221,14 +221,19 @@ class FinitelyGeneratedWitness:
     reachable: bool
 
 
-def finitely_generated_witness(shift: GenericShift) -> FinitelyGeneratedWitness:
+def finitely_generated_witness(
+    shift: GenericShift, cert: TriangularityCertificate | None = None
+) -> FinitelyGeneratedWitness:
     """Lattice basis exponents plus one chamber witness per sector.
 
-    Requires a complete triangularity certificate; raises WindowTooSmall
-    otherwise.  Reachability holds because every factorization exponent has
-    integral coordinates in the lattice basis, which is re-checked here.
+    Requires a complete triangularity certificate of ``shift``, built here
+    unless the caller passes the one it already has; raises WindowTooSmall
+    when it is incomplete.  Reachability holds because every factorization
+    exponent has integral coordinates in the lattice basis, which is
+    re-checked here.
     """
-    cert = triangularity_certificate(shift)
+    if cert is None:
+        cert = triangularity_certificate(shift)
     if not cert.complete:
         raise WindowTooSmall(cert.uncovered)
     system = shift.system

@@ -19,6 +19,7 @@ from .errors import BudgetExceeded, InvariantViolation, NotRegular, UnknownRoot
 from .linalg import (
     Mat,
     Vec,
+    dot,
     gram_pair,
     identity,
     inverse,
@@ -134,13 +135,19 @@ class RestrictedRootSystem:
         self._weyl: WeylGroup | None = None
         self._chamber_pos: dict[Mat, tuple[Vec, ...]] = {}
         self._chamber_of: dict[Vec, WeylElement] = {}
+        self._covector: dict[Vec, Vec] = {}
         self._validate()
+        # gram * alpha per root, so that alpha(v) is one dot product
+        self._covector = {a: mat_vec(self.gram, a) for a in self.roots}
 
     # -- pairings ------------------------------------------------------
 
     def pairing(self, alpha: Vec, v: Vec) -> Fraction:
         """The value alpha(v), as a Gram pairing of metric duals."""
-        return gram_pair(self.gram, alpha, v)
+        covector = self._covector.get(alpha)
+        if covector is None:
+            return gram_pair(self.gram, alpha, v)
+        return dot(covector, v)
 
     def norm2(self, v: Vec) -> Fraction:
         return gram_pair(self.gram, v, v)
@@ -160,10 +167,11 @@ class RestrictedRootSystem:
 
     def positive_system(self, x: Vec) -> tuple[Vec, ...]:
         """All roots positive on a regular vector; exactly half the set."""
-        walls = [a for a in self.roots if self.pairing(a, x) == 0]
+        values = [self.pairing(a, x) for a in self.roots]
+        walls = [a for a, v in zip(self.roots, values) if v == 0]
         if walls:
             raise NotRegular(walls)
-        return tuple(a for a in self.roots if self.pairing(a, x) > 0)
+        return tuple(a for a, v in zip(self.roots, values) if v > 0)
 
     @property
     def positive_roots(self) -> tuple[Vec, ...]:

@@ -1,9 +1,15 @@
 """Suite runner: executes every check for a catalog entry and serializes
 the outcome as a deterministic report.
 
-Sweeps may be partitioned across worker processes with ``jobs``; tasks are
-enumerated in a fixed order and results merged in that order, so the emitted
-bytes never depend on the degree of parallelism.
+The per-datum sweeps read integers from the shift's index table
+(``indices.index_table``), built once per run: the bad/ugly sweep, the degree
+column of the implication sweep, and the parity and Poincare censuses.  The
+Fraction functions of ``indices`` that the table replaces stay the public
+oracles and are not called here.
+
+The bad/ugly sweep may be partitioned across worker processes with ``jobs``;
+tasks are enumerated in a fixed order and results merged in that order, so
+the emitted bytes never depend on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -18,19 +24,14 @@ from .catalog import CatalogEntry
 from .errors import RootQuiltError
 from .indices import (
     ImplicationRow,
+    IndexTable,
     QuiltClass,
-    QuiltDatum,
     capping_area,
     capping_maslov,
-    classify,
     filtration_weight,
     implication_violations,
+    index_table,
     monotone_data,
-    parity_report,
-    poincare_polynomial,
-    quilt_index,
-    relative_degree,
-    ugly_index,
 )
 from .lattice import (
     GenericShift,
@@ -171,24 +172,14 @@ def _parallel_map(fn, ctx, tasks: list, jobs: int) -> list:
     return [r for part in parts for r in part]
 
 
-@dataclass
-class _SweepContext:
-    shift: GenericShift
-    points: list[Vec]
-    elements: tuple
-
-
-def _bad_ugly_task(ctx: _SweepContext, task: tuple[int, int]):
+def _bad_ugly_task(table: IndexTable, task: tuple[int, int]):
     iq, iw = task
-    q, w = ctx.points[iq], ctx.elements[iw]
-    tag = classify(q, w, ctx.shift)
-    if tag is QuiltClass.BAD:
-        idx = quilt_index(QuiltDatum(ctx.shift, q, w, q))
-        ok = idx == 0
-    else:
-        idx = ugly_index(q, w, ctx.shift)  # re-checks idx == quilt_index internally
-        ok = idx >= 1
-    return iq, iw, tag.value, idx, ok
+    w_in = table.chambers[iq]
+    if w_in == iw:
+        idx = table.degrees[iq][w_in] - table.degrees[iq][iw]
+        return iq, iw, QuiltClass.BAD.value, idx, idx == 0
+    idx = table.ugly_index(iq, iw)  # re-checks idx == the quilt index internally
+    return iq, iw, QuiltClass.UGLY.value, idx, idx >= 1
 
 
 def _add_bad_ugly_sweep(report: Report, results: list, points: list[Vec], elements) -> None:
@@ -332,12 +323,11 @@ def _run_suite(
         f"{n_gens} generators, {n_chords} chords",
     )
 
-    ctx = _SweepContext(shift, points, group.elements)
-
     # bad/ugly sweep
     stage["check"] = "bad_ugly_sweep"
+    table = index_table(shift)
     tasks = [(iq, iw) for iq in range(len(points)) for iw in range(group.order)]
-    results = _parallel_map(_bad_ugly_task, ctx, tasks, jobs)
+    results = _parallel_map(_bad_ugly_task, table, tasks, jobs)
     _add_bad_ugly_sweep(report, results, points, group.elements)
 
     # filtration table
@@ -355,11 +345,12 @@ def _run_suite(
     gens = [(q, w) for q in points for w in group]
     rows = [
         (
-            relative_degree(w, q, shift),
+            table.degrees[iq][iw],
             gram_pair(system.gram, add(q, shift.a), x0_images[w]),
             values[w],
         )
-        for q, w in gens
+        for iq, q in enumerate(points)
+        for iw, w in enumerate(group)
     ]
     _add_implication_sweep(report, rows, gens)
 
@@ -376,7 +367,7 @@ def _run_suite(
 
     # parity
     stage["check"] = "parity"
-    par = parity_report(shift)
+    par = table.parity_report()
     report.add_row("parity", "all_multiplicities_even", par.all_multiplicities_even)
     report.add_row("parity", "even_degrees", par.even_degrees)
     report.add_row("parity", "odd_degrees", par.odd_degrees)
@@ -388,7 +379,7 @@ def _run_suite(
 
     # poincare polynomial
     stage["check"] = "poincare"
-    coeffs = poincare_polynomial(shift)
+    coeffs = table.poincare_polynomial()
     report.add_row("poincare", "coefficients", ",".join(str(c) for c in coeffs))
     palindromic = coeffs == coeffs[::-1]
     poin_ok = (
@@ -417,7 +408,7 @@ def _run_suite(
     if cert.complete:
         report.add_check("triangularity", True, f"{len(cert.rows)} rows, all sectors witnessed")
         stage["check"] = "finitely_generated"
-        fg = finitely_generated_witness(shift)
+        fg = finitely_generated_witness(shift, cert)
         for g in fg.generators:
             report.add_row("witness", g.label(), "generator")
         report.add_check("finitely_generated", fg.reachable, f"{len(fg.generators)} generators")

@@ -84,3 +84,15 @@ def f4_system():
     return RestrictedRootSystem(
         identity(4), roots, {r: 1 for r in roots}, (F(8), F(4), F(2), F(1)), name="f4"
     )
+
+
+@pytest.fixture(scope="session")
+def f4_lattice(f4_system):
+    """The coroot lattice: long coroots equal the roots, short ones are doubled."""
+    basis = [
+        (F(0), F(1), F(-1), F(0)),
+        (F(0), F(0), F(1), F(-1)),
+        (F(0), F(0), F(0), F(2)),
+        (F(1), F(-1), F(-1), F(-1)),
+    ]
+    return Lattice(f4_system, basis)

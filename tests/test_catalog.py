@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from rootquilt import InvariantViolation, SchemaError, load_catalog
-from rootquilt.catalog import CATALOG_SCHEMA_ID, get_entry
+from rootquilt.catalog import CATALOG_SCHEMA, CATALOG_SCHEMA_ID, get_entry
 from rootquilt.suite import REPORT_SCHEMA, Report, emit, run_suite
 
 
@@ -151,6 +151,45 @@ def test_wrong_dim_space_is_invariant_violation(tmp_path):
 def test_non_integral_chords_rejected(tmp_path):
     with pytest.raises(InvariantViolation, match="integral"):
         load_catalog(_write_catalog(tmp_path, [_a1_entry(lattice_basis=[["1/3"]])]))
+
+
+def test_non_integral_chords_name_the_entry_root_and_basis_vector(tmp_path):
+    with pytest.raises(InvariantViolation) as err:
+        load_catalog(_write_catalog(tmp_path, [_a1_entry(lattice_basis=[["1/3"]])]))
+    assert str(err.value) == (
+        "entry 'test-a1': 2*alpha(b) = -4/3 is not integral at root alpha=(-1)"
+        " and basis vector b=(1/3)"
+    )
+
+
+def test_catalog_schema_is_a_valid_schema():
+    jsonschema.Draft202012Validator.check_schema(CATALOG_SCHEMA)
+
+
+def _invalid_documents():
+    no_gram = _a1_entry()
+    del no_gram["gram"]
+    yield {"schema": CATALOG_SCHEMA_ID}
+    yield {"schema": "other/v1", "entries": [_a1_entry()]}
+    yield {"schema": CATALOG_SCHEMA_ID, "entries": []}
+    yield {"schema": CATALOG_SCHEMA_ID, "entries": [no_gram]}
+    yield {"schema": CATALOG_SCHEMA_ID, "entries": [_a1_entry(gram=[[2.5]])]}
+    yield {"schema": CATALOG_SCHEMA_ID, "entries": [_a1_entry(kind="torus", dim_lambda=0)]}
+    yield {"schema": CATALOG_SCHEMA_ID, "entries": [_a1_entry(orbits=[{"seed": [1], "mult": 0}])]}
+    yield [1, 2]
+
+
+@pytest.mark.parametrize("doc", list(_invalid_documents()))
+def test_schema_errors_match_jsonschema_validate(tmp_path, doc):
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(doc, CATALOG_SCHEMA)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_catalog(str(path))
+    assert str(err.value) == (
+        f"catalog failed schema validation at {ref.value.json_path}: {ref.value.message}"
+    )
 
 
 def test_unstable_lattice_rejected(tmp_path):

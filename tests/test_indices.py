@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rootquilt import (
+    FloorBoundary,
     Mode,
     ModeMismatch,
     NotUgly,
@@ -31,7 +32,8 @@ from rootquilt import (
     validate_generic,
     zero_index_implication,
 )
-from rootquilt.lattice import canonical_shift
+from rootquilt.indices import index_table
+from rootquilt.lattice import GenericShift, canonical_shift
 from rootquilt.suite import run_suite
 
 from conftest import make_rank1, make_rank1_lattice
@@ -388,3 +390,63 @@ def test_group_a2_canonical_hand_oracle(group_a2):
     qa = tuple(x + y for x, y in zip(q, shift.a))
     assert group_a2.system.chamber_of(qa) == s2
     assert ugly_index(q, s1, shift) == 24
+
+
+# -- the integer tables against the per-datum functions they replace --------
+
+
+def _assert_table_matches_oracles(shift):
+    sys_ = shift.system
+    group = sys_.weyl_group()
+    table = index_table(shift)
+    for iq, q in enumerate(shift.window_points()):
+        w_in = group.elements[table.chambers[iq]]
+        assert w_in == sys_.chamber_of(tuple(x + y for x, y in zip(q, shift.a)))
+        for iw, w in enumerate(group):
+            assert table.degrees[iq][iw] == relative_degree(w, q, shift)
+            if classify(q, w, shift) is QuiltClass.BAD:
+                assert table.chambers[iq] == iw
+                assert quilt_index(QuiltDatum(shift, q, w, q)) == 0
+                with pytest.raises(NotUgly):
+                    table.ugly_index(iq, iw)
+            else:
+                assert table.chambers[iq] != iw
+                # ugly_index asserts its value equals quilt_index, and the
+                # table's equals its own degree difference
+                assert table.ugly_index(iq, iw) == ugly_index(q, w, shift)
+    morse = [morse_index(w, shift) for w in group]
+    assert [table.morse_index(iw) for iw in range(group.order)] == morse
+    assert table.poincare_polynomial() == [morse.count(k) for k in range(sys_.dim_lambda() + 1)]
+    assert table.parity_report() == parity_report(shift)
+
+
+@pytest.mark.parametrize("name", ["group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2"])
+def test_index_table_matches_oracles(name):
+    entry = get_entry(name)
+    for r in range(4):
+        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        _assert_table_matches_oracles(shift)
+
+
+def test_index_table_matches_oracles_f4(f4_system, f4_lattice):
+    shift = canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(0))
+    _assert_table_matches_oracles(shift)
+
+
+def test_index_table_is_built_once_per_shift(a1_shift):
+    assert index_table(a1_shift) is index_table(a1_shift)
+
+
+def test_index_table_rejects_a_floor_boundary(group_a1):
+    # 2 alpha(alpha/4) = 1: an unvalidated shift on a floor boundary
+    shift = GenericShift(group_a1.system, group_a1.lattice, (F(1, 4),), Mode.REGULAR_ONLY, F(0))
+    with pytest.raises(FloorBoundary):
+        index_table(shift)
+
+
+def test_index_table_morse_mode_mismatch(group_a1):
+    shift = validate_generic(
+        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.REGULAR_ONLY, F(0)
+    )
+    with pytest.raises(ModeMismatch):
+        index_table(shift).morse_index(0)

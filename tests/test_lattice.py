@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rootquilt import (
     FloorBoundary,
+    InvariantViolation,
     Lattice,
     LatticeNotStable,
     Mode,
@@ -17,9 +18,14 @@ from rootquilt import (
     canonical_shift,
     chords,
     generators,
+    get_entry,
     validate_generic,
     weyl_action,
 )
+from rootquilt.lattice import GenericShift, weighted_root_sum
+from rootquilt.linalg import add, scale, vec
+
+PAIRS = ("group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2")
 
 
 
@@ -225,3 +231,103 @@ def test_canonical_shift_all_entries_frozen(catalog):
     for entry in catalog:
         shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
         assert shift.a == expected[entry.name][0], entry.name
+
+
+def test_lattice_rejects_non_integral_basis(group_a1):
+    with pytest.raises(InvariantViolation) as err:
+        Lattice(group_a1.system, [(F(1, 3),)])
+    assert str(err.value) == (
+        "2*alpha(b) = -4/3 is not integral at root alpha=(-1) and basis vector b=(1/3)"
+    )
+
+
+def test_two_alpha_rejects_a_non_lattice_point(group_a1):
+    with pytest.raises(InvariantViolation, match="not a lattice point"):
+        group_a1.lattice.two_alpha((F(1, 2),))
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_two_alpha_matches_the_pairing(name):
+    entry = get_entry(name)
+    sys_ = entry.system
+    for q in entry.lattice.points(F(3)):
+        assert entry.lattice.two_alpha(q) == tuple(2 * sys_.pairing(al, q) for al in sys_.roots)
+
+
+# -- the window scans the roots-only checks replace, kept verbatim as oracles --
+
+
+def _window_validate_generic(system, lattice, a, mode, radius, points=None):
+    a = vec(a)
+    radius = F(radius)
+    walls = [al for al in system.roots if system.pairing(al, a) == 0]
+    if walls:
+        raise NotRegular(walls)
+    points = lattice.points(radius) if points is None else points
+    for q in points:
+        qa = add(q, a)
+        for al in system.roots:
+            val = 2 * system.pairing(al, qa)
+            if val.denominator == 1:
+                raise FloorBoundary(al, q, f"2*alpha(q+a) = {val} at alpha={al}, q={q}")
+    if mode is Mode.SMALL_IN_CHAMBER:
+        for beta in system.simple_roots:
+            if system.pairing(beta, a) <= 0:
+                raise NotInChamber(f"shift fails beta={beta}")
+        for al in system.roots:
+            if abs(2 * system.pairing(al, a)) >= F(1, 2):
+                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={al}")
+    shift = GenericShift(system, lattice, a, mode, radius)
+    shift._points = points
+    return shift
+
+
+def _window_canonical_shift(system, lattice, mode, radius):
+    rho = weighted_root_sum(system)
+    points = lattice.points(F(radius))
+    for d in range(1, 10_001):
+        eps = F(1, 2 * d + 1)
+        try:
+            return _window_validate_generic(system, lattice, scale(eps, rho), mode, radius, points)
+        except (NotRegular, FloorBoundary, NotInChamber, NotSmall):
+            continue
+    raise InvariantViolation("no canonical shift found; data is degenerate")
+
+
+def _outcome(fn, *args):
+    try:
+        shift = fn(*args)
+    except (NotRegular, FloorBoundary, NotInChamber, NotSmall) as exc:
+        return (
+            type(exc),
+            getattr(exc, "root", None),
+            getattr(exc, "point", None),
+            getattr(exc, "walls", None),
+            str(exc),
+        )
+    return shift.a, shift.mode, shift.window_radius, shift.window_points()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["group-a1", "group-a2", "ai-a2"]),
+    coords=st.lists(st.fractions(-1, 1, max_denominator=12), min_size=2, max_size=2),
+    mode=st.sampled_from(list(Mode)),
+    radius=st.integers(0, 3),
+)
+def test_validate_generic_matches_the_window_scan(catalog, name, coords, mode, radius):
+    entry = next(e for e in catalog if e.name == name)
+    a = tuple(coords[: entry.rank])
+    args = (entry.system, entry.lattice, a, mode, F(radius))
+    assert _outcome(validate_generic, *args) == _outcome(_window_validate_generic, *args)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_canonical_shift_matches_the_window_scan(name):
+    entry = get_entry(name)
+    for mode in Mode:
+        for r in range(7):
+            got = canonical_shift(entry.system, entry.lattice, mode, F(r))
+            want = _window_canonical_shift(entry.system, entry.lattice, mode, F(r))
+            assert got.a == want.a, (mode, r)
+            assert got.window_points() == want.window_points()

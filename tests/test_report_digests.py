@@ -64,6 +64,24 @@ def test_report_digests(name):
     assert got == DIGESTS[name]
 
 
+# SHA-256 of emit(run_suite(entry, radius=4)), recorded from the per-datum
+# Fraction sweeps, before the integer index tables existed.
+DIGESTS_RADIUS_4 = {
+    "group-a1": "e08bffe8be9682440b044adad2964b5d2b90d137ba11c7819dd1c89ae2613414",
+    "aii-a1": "68f12a908bfa7581a0a33fd1ef185c069e7c74f0ee6b065843c7a3f025fdee8e",
+    "sphere-a1": "a22235fc8194b2486f70e2940c59407c117b590bd1357b4b89c641bea86787ff",
+    "group-a2": "8289c21382ae1199d753cc07be6ff2c04649c29ad3c9592e1b3ce264b4cbff20",
+    "ai-a2": "e659141945b0c649e67899534de49f82696a44abd31be093c4b2adb7e7cf41ab",
+    "eiv-a2": "6ebf9ecc8fe6bc32f54700fb3eb2139c76b2096d10db55b9e80be1c508fa6e34",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS_RADIUS_4))
+def test_report_digests_radius_4(name):
+    report = emit(run_suite(get_entry(name), radius=F(4)))
+    assert hashlib.sha256(report).hexdigest() == DIGESTS_RADIUS_4[name]
+
+
 def test_pool_gives_serial_bytes(group_a2):
     # radius 3: 114 bad/ugly tasks, enough for the sweep to use the pool
     serial = emit(run_suite(group_a2, radius=F(3), jobs=1))

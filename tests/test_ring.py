@@ -206,6 +206,15 @@ def test_witness_size_bound(catalog):
         assert fg.reachable
 
 
+def test_witness_from_a_given_certificate(catalog):
+    for entry in catalog:
+        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+        own = finitely_generated_witness(shift)
+        given = finitely_generated_witness(shift, triangularity_certificate(shift))
+        assert given.generators == own.generators
+        assert given.reachable == own.reachable
+
+
 def test_witness_closure_idempotent(a1_shift):
     first = finitely_generated_witness(a1_shift)
     second = finitely_generated_witness(a1_shift)

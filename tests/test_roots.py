@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rootquilt import InvariantViolation, NotRegular, RestrictedRootSystem, UnknownRoot, get_entry
 from rootquilt.lattice import canonical_shift
-from rootquilt.linalg import identity, mat_mul, mat_vec
+from rootquilt.linalg import gram_pair, identity, mat_mul, mat_vec
 
 
 A2_GRAM = ((F(2), F(-1)), (F(-1), F(2)))
@@ -315,3 +315,16 @@ def test_chamber_equivariance_random_regular(vx, vy):
     base = sys_.chamber_of(v)
     for w in W:
         assert sys_.chamber_of(w(v)) == W.multiply(w, base)
+
+
+def test_pairing_matches_the_gram_pairing(catalog, f4_system):
+    vectors = [(F(1, 3), F(-2, 7)), (F(5), F(1, 2)), (F(0), F(0))]
+    for sys_ in [e.system for e in catalog] + [f4_system]:
+        vs = [tuple(v[i % 2] * (i + 1) for i in range(sys_.rank)) for v in vectors]
+        vs.append(sys_.base_point)
+        for alpha in sys_.roots:
+            for v in vs:
+                assert sys_.pairing(alpha, v) == gram_pair(sys_.gram, alpha, v)
+        # not a root: the pairing falls back to the Gram matrix
+        half = tuple(x / 3 for x in sys_.roots[0])
+        assert sys_.pairing(half, vs[0]) == gram_pair(sys_.gram, half, vs[0])
