@@ -16,8 +16,8 @@ from importlib import resources
 import jsonschema
 
 from .errors import InvariantViolation, SchemaError
-from .lattice import Lattice
-from .linalg import Mat, Vec, is_symmetric, mat, matrix_rank, parse_rational, vec
+from .lattice import Lattice, weighted_root_sum
+from .linalg import Mat, Vec, gram_pair, is_symmetric, mat, matrix_rank, parse_rational, reflect, vec
 from .roots import RestrictedRootSystem
 
 CATALOG_SCHEMA_ID = "restricted-pair-catalog/v1"
@@ -110,21 +110,14 @@ class CatalogEntry:
     provenance: str
 
 
-def _reflect(gram: Mat, alpha: Vec, v: Vec) -> Vec:
-    num = 2 * sum(a * sum(row[j] * v[j] for j in range(len(v))) for a, row in zip(alpha, gram))
-    den = sum(a * sum(row[j] * alpha[j] for j in range(len(alpha))) for a, row in zip(alpha, gram))
-    if den == 0:
-        raise InvariantViolation(f"seed {alpha} has zero squared length")
-    c = num / den
-    return tuple(x - c * a for x, a in zip(v, alpha))
-
-
 def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
     """Close seed roots under all reflections and assign orbit multiplicities."""
     roots: set[Vec] = set()
     for s, _ in seeds:
         if all(x == 0 for x in s):
             raise InvariantViolation("zero vector cannot seed a root orbit")
+        if gram_pair(gram, s, s) == 0:  # reflections keep lengths, so seeds cover every root
+            raise InvariantViolation(f"seed {s} has zero squared length")
         roots.add(s)
         roots.add(tuple(-x for x in s))
     changed = True
@@ -133,7 +126,7 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
         snapshot = sorted(roots)
         for a in snapshot:
             for b in snapshot:
-                img = _reflect(gram, a, b)
+                img = reflect(gram, a, b)
                 if img not in roots:
                     roots.add(img)
                     changed = True
@@ -146,7 +139,7 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
         while frontier:
             b = frontier.pop()
             for a in roots:
-                img = _reflect(gram, a, b)
+                img = reflect(gram, a, b)
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
@@ -211,11 +204,9 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
             f"entry {name!r}: Weyl group order {system.weyl_group().order} "
             f"differs from declared {weyl_order}"
         )
-    rho = [0] * rank
-    for al in system.positive_roots:
-        rho = [r + system.mult[al] * x for r, x in zip(rho, al)]
+    rho = weighted_root_sum(system)
     for beta in system.simple_roots:
-        if system.pairing(beta, tuple(rho)) <= 0:
+        if system.pairing(beta, rho) <= 0:
             raise InvariantViolation(
                 f"entry {name!r}: weighted root sum is not strictly dominant"
             )

@@ -3,7 +3,8 @@
 Subcommands: info, verify, index, filtration, product, certify, triangle.
 All exact quantities are printed as "p/q" strings; only the triangle
 residuals are decimal.  Exit status is 0 exactly when every non-advisory
-check passed.
+check passed, 1 when a check failed, and 2 for malformed arguments or
+invalid data (reported as ``error: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -22,14 +23,25 @@ from .triangle import boundary_deviation, solve_triangle, symmetry_residual, ver
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
+    """A word of 1-based letters, as 0-based simple reflection indices."""
     text = text.strip()
     if text in ("e", ""):
         return ()
-    return tuple(int(tok) - 1 for tok in text.split(","))
+    try:
+        return tuple(int(tok) - 1 for tok in text.split(","))
+    except ValueError:
+        raise RootQuiltError(f"invalid word {text!r}; use e or letters such as 1,2") from None
 
 
-def _parse_coords(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.strip().split(","))
+def _parse_coords(entry, text: str) -> tuple[int, ...]:
+    """Lattice-basis coordinates of a point of ``entry``'s lattice."""
+    try:
+        coords = tuple(int(tok) for tok in text.strip().split(","))
+    except ValueError:
+        raise RootQuiltError(f"invalid coordinates {text!r}; use integers such as 1,0") from None
+    if len(coords) != entry.rank:
+        raise RootQuiltError(f"coordinates {text!r} do not fit {entry.name}, of rank {entry.rank}")
+    return coords
 
 
 def _sample_count(text: str) -> int:
@@ -136,8 +148,10 @@ def cmd_verify(args) -> int:
     params = _common_params(args)
     triangle_data = []
     for spec_text in args.triangle:
-        q_text, w_text = spec_text.split(":")
-        triangle_data.append((_parse_coords(q_text), _parse_word(w_text)))
+        q_text, colon, w_text = spec_text.partition(":")
+        if not colon:
+            raise RootQuiltError(f"invalid --triangle {spec_text!r}; use Q:W, such as 1:1")
+        triangle_data.append((_parse_coords(entry, q_text), _parse_word(w_text)))
     report = run_suite(
         entry,
         tau=params["tau"],
@@ -162,8 +176,8 @@ def _entry_and_shift(args):
 def cmd_index(args) -> int:
     entry, params, shift = _entry_and_shift(args)
     group = entry.system.weyl_group()
-    q_in = entry.lattice.from_coords(_parse_coords(args.q_in))
-    q_out = entry.lattice.from_coords(_parse_coords(args.q_out))
+    q_in = entry.lattice.from_coords(_parse_coords(entry, args.q_in))
+    q_out = entry.lattice.from_coords(_parse_coords(entry, args.q_out))
     w_out = group.from_word(_parse_word(args.w_out))
     idx = quilt_index(QuiltDatum(shift, q_in, w_out, q_out))
     report = Report(entry.name, "index", _report_params(params, shift))
@@ -195,8 +209,8 @@ def cmd_filtration(args) -> int:
 def cmd_product(args) -> int:
     entry, params, shift = _entry_and_shift(args)
     group = entry.system.weyl_group()
-    q1 = entry.lattice.from_coords(_parse_coords(args.q1))
-    q2 = entry.lattice.from_coords(_parse_coords(args.q2))
+    q1 = entry.lattice.from_coords(_parse_coords(entry, args.q1))
+    q2 = entry.lattice.from_coords(_parse_coords(entry, args.q2))
     w = group.from_word(_parse_word(args.w))
     result = star_unit_sector(q1, Generator(w, q2))
     report = Report(entry.name, "product", _report_params(params, shift))
@@ -234,7 +248,7 @@ def cmd_triangle(args) -> int:
     entry, params, shift = _entry_and_shift(args)
     group = entry.system.weyl_group()
     md = monotone_data(entry.system, params["tau"])
-    q = entry.lattice.from_coords(_parse_coords(args.q))
+    q = entry.lattice.from_coords(_parse_coords(entry, args.q))
     w = group.from_word(_parse_word(args.w))
     from .triangle import build_triple, plane_model
 

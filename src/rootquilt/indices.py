@@ -356,7 +356,7 @@ class IndexTable:
     def __init__(self, shift: GenericShift):
         system = shift.system
         roots = system.roots
-        index = {al: i for i, al in enumerate(roots)}
+        group = system.weyl_group()
         two_alpha_a = [2 * system.pairing(al, shift.a) for al in roots]
         for al, t in zip(roots, two_alpha_a):
             if t.denominator == 1:
@@ -367,16 +367,12 @@ class IndexTable:
         self.floor_a: tuple[int, ...] = tuple(math.floor(t) for t in two_alpha_a)
         # P[q][alpha] = 2*alpha(q), one row per window point
         self.two_alpha_q = [shift.lattice.two_alpha(q) for q in shift.window_points()]
-        self.positive: tuple[frozenset[int], ...] = tuple(
-            frozenset(index[al] for al in system.chamber_positive_system(w))
-            for w in system.weyl_group()
-        )
-        self.by_mask = {sum(1 << i for i in pos): iw for iw, pos in enumerate(self.positive)}
+        self.positive = group.positive
         self.floors = [
             tuple(p + f for p, f in zip(row, self.floor_a)) for row in self.two_alpha_q
         ]
         self.chambers = [
-            self.by_mask[sum(1 << i for i, f in enumerate(row) if f >= 0)] for row in self.floors
+            group.by_mask[sum(1 << i for i, f in enumerate(row) if f >= 0)] for row in self.floors
         ]
         self.degrees = [
             [sum(self.mult[i] * row[i] for i in pos) for pos in self.positive]
@@ -389,7 +385,7 @@ class IndexTable:
         if w_in == iw:
             raise NotUgly("datum is bad, not ugly")
         row = self.floors[iq]
-        flipped = self.positive[w_in] - self.positive[iw]
+        flipped = [i for i in self.positive[w_in] if i not in self.positive[iw]]
         total = sum(self.mult[i] * (2 * row[i] + 1) for i in flipped)
         if total != self.degrees[iq][w_in] - self.degrees[iq][iw]:
             raise InvariantViolation("ugly index disagrees with the quilt index")

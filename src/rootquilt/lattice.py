@@ -87,8 +87,12 @@ class Lattice:
         return tuple(sum(t * x for t, x in zip(row, c)) for row in self.two_alpha_basis)
 
     def check_weyl_stable(self) -> None:
-        """Exact membership of every Weyl image of every basis vector."""
-        for w in self.system.weyl_group():
+        """Exact membership of every Weyl image of every basis vector.
+
+        The simple reflections generate the group and follow the identity in
+        group order, so checking them finds the same first failure.
+        """
+        for w in self.system.weyl_group().simple:
             for b in self.basis:
                 if not self.contains(w(b)):
                     raise LatticeNotStable(f"{w.name} moves basis vector {b} off the lattice")

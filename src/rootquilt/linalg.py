@@ -41,10 +41,6 @@ def sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def scale(c, u: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in u)
@@ -70,6 +66,13 @@ def transpose(m: Mat) -> Mat:
 def gram_pair(gram: Mat, u: Vec, v: Vec) -> Fraction:
     """The pairing u^T gram v."""
     return dot(u, mat_vec(gram, v))
+
+
+def reflect(gram: Mat, alpha: Vec, v: Vec) -> Vec:
+    """Reflection of v across the hyperplane orthogonal to alpha for a symmetric gram."""
+    g_alpha = mat_vec(gram, alpha)
+    c = 2 * dot(g_alpha, v) / dot(g_alpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha))
 
 
 def is_symmetric(m: Mat) -> bool:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInImplementedSector, WindowTooSmall
-from .indices import filtration_weight
+from .indices import filtration_weight, index_table
 from .lattice import GenericShift, Generator
-from .linalg import Vec, add, inverse, mat_vec, sub
+from .linalg import Vec, add, sub
 from .roots import WeylElement
 
 
@@ -80,7 +80,7 @@ class RingElement:
             raise ValueError("mixed coefficient rings")
         out = RingElement(ring=self.ring)
         for g1, c1 in self.terms.items():
-            if g1.w.matrix != _identity_like(g1):
+            if g1.w.word:
                 raise NotInImplementedSector(
                     f"left factor {g1.label()} is outside the identity sector"
                 )
@@ -102,13 +102,6 @@ class RingElement:
             return "RingElement(0)"
         parts = [f"{c.value}*{g.label()}" for g, c in sorted(self.terms.items(), key=lambda t: t[0].label())]
         return "RingElement(" + " + ".join(parts) + f"; {self.ring})"
-
-
-def _identity_like(g: Generator):
-    n = len(g.q)
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -159,10 +152,10 @@ class TriangularityCertificate:
 
 def chamber_witnesses(shift: GenericShift) -> dict[WeylElement, Vec]:
     """First window point landing in each chamber, in window order."""
+    elements = shift.system.weyl_group().elements
     witnesses: dict[WeylElement, Vec] = {}
-    for q in shift.window_points():
-        w = shift.system.chamber_of(add(q, shift.a))
-        witnesses.setdefault(w, q)
+    for q, iw in zip(shift.window_points(), index_table(shift).chambers):
+        witnesses.setdefault(elements[iw], q)
     return witnesses
 
 
@@ -174,8 +167,7 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
     identity is re-checked row by row.  Missing witnesses are reported, not
     fatal; the caller may enlarge the window.
     """
-    system = shift.system
-    group = system.weyl_group()
+    group = shift.system.weyl_group()
     witnesses = chamber_witnesses(shift)
     points = shift.window_points()
     leading = [leading_term(q, shift) for q in points]
@@ -189,10 +181,10 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
             uncovered.append(w)
             continue
         q_prime = witnesses[w]
-        w_inv = inverse(w.matrix)
+        w_inv = group.inverse(w)
         fil = filtration_weight(w, shift)
         for q in points:
-            s = mat_vec(w_inv, sub(q, q_prime))
+            s = w_inv(sub(q, q_prime))
             if star_unit_sector(s, Generator(w, q_prime)) != Generator(w, q):
                 raise WindowTooSmall((w,), "factorization identity failed")
             rows.append(CertificateRow(w, q, q_prime, s, fil))
@@ -201,12 +193,12 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
 
 def r_module_basis_check(shift: GenericShift) -> tuple[bool, list[tuple[Generator, Vec]]]:
     """Check that y[w;q] = star(w^{-1} q, y[w;0]) across the window."""
-    system = shift.system
+    group = shift.system.weyl_group()
     table: list[tuple[Generator, Vec]] = []
-    for w in system.weyl_group():
-        w_inv = inverse(w.matrix)
+    for w in group:
+        w_inv = group.inverse(w)
         for q in shift.window_points():
-            q1 = mat_vec(w_inv, q)
+            q1 = w_inv(q)
             if star_unit_sector(q1, Generator(w, tuple(Fraction(0) for _ in q))) != Generator(w, q):
                 return False, table
             table.append((Generator(w, q), q1))
@@ -236,8 +228,7 @@ def finitely_generated_witness(
         cert = triangularity_certificate(shift)
     if not cert.complete:
         raise WindowTooSmall(cert.uncovered)
-    system = shift.system
-    group = system.weyl_group()
+    group = shift.system.weyl_group()
     ident = group.identity
     gens: list[Generator] = []
     seen = set()

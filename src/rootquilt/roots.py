@@ -6,13 +6,18 @@ the root on v is the Gram pairing with v, and the reflection formula needs
 no separate coroot bookkeeping.  Systems may be non-reduced: a root and its
 double may both occur, but no other rational multiples.
 
+A Weyl group element is the permutation it induces on the roots.  The
+positive system of a chamber determines its element, so the chamber of a
+regular vector is one lookup of the vector's sign mask over the roots.
+
 All data is immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceeded, InvariantViolation, NotRegular, UnknownRoot
@@ -28,6 +33,8 @@ from .linalg import (
     mat_mul,
     mat_vec,
     matrix_rank,
+    reflect,
+    transpose,
     vec,
 )
 
@@ -36,21 +43,28 @@ DEFAULT_WEYL_CAP = 10**6
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """An orthogonal transformation of the Cartan space with a reduced word.
+    """A Weyl group element: w(roots[i]) = roots[perm[i]], with a reduced word.
 
-    The word lists simple reflection indices (0-based); the element is the
-    product s_{i1} s_{i2} ... applied left to right to vectors.  Equality
-    and hashing use the matrix only, since one element admits many words.
+    The roots span the space, so the permutation determines w; equality and
+    hashing use it alone, since one element admits many words.  The word
+    lists simple reflection indices (0-based); the element is the product
+    s_{i1} s_{i2} ... applied left to right to vectors.  The matrix, for the
+    action on vectors, is derived from the permutation on first use.
     """
 
-    matrix: Mat
+    perm: tuple[int, ...]
     word: tuple[int, ...]
+    system: RestrictedRootSystem = field(repr=False)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.perm == other.perm
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.perm)
+
+    @cached_property
+    def matrix(self) -> Mat:
+        return self.system._matrix_of(self.perm)
 
     def __call__(self, v: Vec) -> Vec:
         return mat_vec(self.matrix, v)
@@ -66,13 +80,23 @@ class WeylElement:
 
 
 class WeylGroup:
-    """The full finite reflection group, enumerated with reduced words."""
+    """The full finite reflection group, enumerated with reduced words.
 
-    def __init__(self, elements: list[WeylElement], simple: list[WeylElement]):
+    Products, inverses and words compose root permutations.  ``positive[k]``
+    holds the sorted root indices of w_k(R+), the positive system of the
+    k-th chamber; it determines w_k, and ``by_mask`` maps its bit mask back
+    to k.
+    """
+
+    def __init__(
+        self, elements: list[WeylElement], gens: list[tuple[int, ...]], pos: tuple[int, ...]
+    ):
         self.elements: tuple[WeylElement, ...] = tuple(elements)
-        self.simple: tuple[WeylElement, ...] = tuple(simple)
-        self.by_matrix: dict[Mat, WeylElement] = {w.matrix: w for w in elements}
+        self._by_perm = {w.perm: w for w in elements}
+        self.simple: tuple[WeylElement, ...] = tuple(self._by_perm[g] for g in gens)
         self.identity: WeylElement = elements[0]
+        self.positive = tuple(tuple(sorted(w.perm[i] for i in pos)) for w in elements)
+        self.by_mask = {sum(1 << i for i in p): k for k, p in enumerate(self.positive)}
         max_len = max(len(w.word) for w in elements)
         longest = [w for w in elements if len(w.word) == max_len]
         if len(longest) != 1:
@@ -83,23 +107,22 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def canonical(self, matrix: Mat) -> WeylElement:
-        try:
-            return self.by_matrix[matrix]
-        except KeyError:
-            raise InvariantViolation("matrix is not a group element") from None
-
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.canonical(mat_mul(a.matrix, b.matrix))
+        return self._by_perm[tuple(a.perm[j] for j in b.perm)]
 
     def inverse(self, a: WeylElement) -> WeylElement:
-        return self.canonical(inverse(a.matrix))
+        # the inverse permutation sorts the indices by their images
+        return self._by_perm[tuple(sorted(range(len(a.perm)), key=a.perm.__getitem__))]
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
-        m = self.identity.matrix
+        """The product of the simple reflections of a 0-based word."""
+        perm = self.identity.perm
         for i in word:
-            m = mat_mul(m, self.simple[i].matrix)
-        return self.canonical(m)
+            if not 0 <= i < len(self.simple):
+                rank = len(self.simple)
+                raise UnknownRoot(f"no simple reflection s{i + 1}; letters run 1..{rank}")
+            perm = tuple(perm[j] for j in self.simple[i].perm)
+        return self._by_perm[perm]
 
     def __iter__(self):
         return iter(self.elements)
@@ -133,8 +156,6 @@ class RestrictedRootSystem:
         self.base_point: Vec = vec(base_point)
         self.name = name
         self._weyl: WeylGroup | None = None
-        self._chamber_pos: dict[Mat, tuple[Vec, ...]] = {}
-        self._chamber_of: dict[Vec, WeylElement] = {}
         self._covector: dict[Vec, Vec] = {}
         self._validate()
         # gram * alpha per root, so that alpha(v) is one dot product
@@ -156,8 +177,7 @@ class RestrictedRootSystem:
         """Reflection of v across the wall of alpha, computed exactly."""
         if alpha not in self.mult:
             raise UnknownRoot(f"{alpha} is not a root")
-        c = 2 * self.pairing(alpha, v) / self.pairing(alpha, alpha)
-        return tuple(x - c * a for x, a in zip(v, alpha))
+        return reflect(self.gram, alpha, v)
 
     def reflection_matrix(self, alpha: Vec) -> Mat:
         cols = [self.reflect(alpha, e) for e in (identity(self.rank))]
@@ -165,13 +185,18 @@ class RestrictedRootSystem:
 
     # -- positive systems and chambers ---------------------------------
 
-    def positive_system(self, x: Vec) -> tuple[Vec, ...]:
-        """All roots positive on a regular vector; exactly half the set."""
+    def _sign_mask(self, x: Vec) -> int:
+        """Bit i is set when roots[i] is positive on x; walls raise NotRegular."""
         values = [self.pairing(a, x) for a in self.roots]
         walls = [a for a, v in zip(self.roots, values) if v == 0]
         if walls:
             raise NotRegular(walls)
-        return tuple(a for a, v in zip(self.roots, values) if v > 0)
+        return sum(1 << i for i, v in enumerate(values) if v > 0)
+
+    def positive_system(self, x: Vec) -> tuple[Vec, ...]:
+        """All roots positive on a regular vector; exactly half the set."""
+        mask = self._sign_mask(x)
+        return tuple(a for i, a in enumerate(self.roots) if mask >> i & 1)
 
     @property
     def positive_roots(self) -> tuple[Vec, ...]:
@@ -180,12 +205,8 @@ class RestrictedRootSystem:
         return self._positive
 
     def chamber_positive_system(self, w: WeylElement) -> tuple[Vec, ...]:
-        """Positive system of the w-image of the base chamber, cached."""
-        cached = self._chamber_pos.get(w.matrix)
-        if cached is None:
-            cached = self.positive_system(w(self.base_point))
-            self._chamber_pos[w.matrix] = cached
-        return cached
+        """Positive system w(R+) of the w-image of the base chamber, in root order."""
+        return tuple(self.roots[j] for j in sorted(w.perm[i] for i in self._positive_index))
 
     @property
     def indivisible_positive_roots(self) -> tuple[Vec, ...]:
@@ -221,7 +242,7 @@ class RestrictedRootSystem:
     # -- Weyl group -----------------------------------------------------
 
     def weyl_group(self, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-        """Breadth-first closure of the simple reflections.
+        """Breadth-first closure of the simple reflections, as root permutations.
 
         The BFS discovers each element at its minimal word length, so the
         recorded words are reduced.  Deterministic: the frontier is scanned
@@ -229,61 +250,42 @@ class RestrictedRootSystem:
         """
         if self._weyl is not None:
             return self._weyl
-        gens = [self.reflection_matrix(a) for a in self.simple_roots]
-        ident = WeylElement(identity(self.rank), ())
-        elements = [ident]
-        seen = {ident.matrix}
+        index = {a: i for i, a in enumerate(self.roots)}
+        self._positive_index = tuple(index[a] for a in self.positive_roots)
+        self._simple_index = tuple(index[b] for b in self.simple_roots)
+        self._simple_inverse = inverse(transpose(self.simple_roots))
+        gens = [tuple(index[self.reflect(b, a)] for a in self.roots) for b in self.simple_roots]
+        ident = WeylElement(tuple(range(len(self.roots))), (), self)
+        seen = {ident.perm: ident}  # in discovery order
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
                 for i, g in enumerate(gens):
-                    m = mat_mul(w.matrix, g)
-                    if m not in seen:
-                        seen.add(m)
-                        el = WeylElement(m, w.word + (i,))
-                        elements.append(el)
+                    perm = tuple(w.perm[j] for j in g)  # w s_i
+                    if perm not in seen:
+                        seen[perm] = el = WeylElement(perm, w.word + (i,), self)
                         nxt.append(el)
-                        if len(elements) > cap:
+                        if len(seen) > cap:
                             raise BudgetExceeded(f"Weyl group larger than cap {cap}")
             frontier = nxt
-        simple = [elements[0]] * len(gens)
-        for i, g in enumerate(gens):
-            simple[i] = next(w for w in elements if w.matrix == g)
-        self._weyl = WeylGroup(elements, simple)
+        self._weyl = WeylGroup(list(seen.values()), gens, self._positive_index)
         return self._weyl
+
+    def _matrix_of(self, perm: tuple[int, ...]) -> Mat:
+        """Matrix sending roots[i] to roots[perm[i]]: simple-root images times S^-1."""
+        images = [self.roots[perm[i]] for i in self._simple_index]
+        return mat_mul(transpose(images), self._simple_inverse)
 
     def chamber_of(self, v: Vec) -> WeylElement:
         """The unique w with v in the w-image of the base chamber.
 
-        Walks v into the base chamber by simple reflections (picking the
-        smallest descent index at each step) and returns the inverse walk.
-        Results are cached by v; a vector on a wall is never cached, so it
-        raises ``NotRegular`` on every call.
+        The roots positive on v form the positive system w(R+) of that
+        chamber, and it determines w, so w is found by the sign mask of v.
+        A vector on a wall raises ``NotRegular``.
         """
-        cached = self._chamber_of.get(v)
-        if cached is not None:
-            return cached
-        walls = [a for a in self.roots if self.pairing(a, v) == 0]
-        if walls:
-            raise NotRegular(walls)
         group = self.weyl_group()
-        simple = self.simple_roots
-        x = v
-        word: list[int] = []
-        guard = 4 * len(self.roots) + 8
-        while True:
-            i = next((k for k, a in enumerate(simple) if self.pairing(a, x) < 0), None)
-            if i is None:
-                break
-            x = self.reflect(simple[i], x)
-            word.append(i)
-            guard -= 1
-            if guard < 0:
-                raise InvariantViolation("descent walk failed to terminate")
-        w = group.from_word(word)
-        self._chamber_of[v] = w
-        return w
+        return group.elements[group.by_mask[self._sign_mask(v)]]
 
     def length(self, w: WeylElement) -> int:
         """Number of indivisible positive roots sent to negative ones."""

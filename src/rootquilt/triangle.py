@@ -28,7 +28,7 @@ from scipy.special import roots_jacobi
 from .errors import Degenerate, InvariantViolation, QuadratureNotConverged
 from .indices import MonotoneData
 from .lattice import GenericShift
-from .linalg import Vec, add, matrix_rank, rref, solve_unique, sub, vec, zero_vec
+from .linalg import Vec, add, gram_pair, matrix_rank, rref, solve_unique, sub, vec, zero_vec
 from .roots import RestrictedRootSystem, WeylElement
 
 # -- exact affine geometry -------------------------------------------------
@@ -55,11 +55,7 @@ def _sympl(gram, u: Vec, v: Vec) -> Fraction:
     r = len(u) // 2
     eta_u, zeta_u = u[:r], u[r:]
     eta_v, zeta_v = v[:r], v[r:]
-
-    def g(x, y):
-        return sum(a * sum(row[j] * y[j] for j in range(r)) for a, row in zip(x, gram))
-
-    return g(eta_v, zeta_u) - g(eta_u, zeta_v)
+    return gram_pair(gram, eta_v, zeta_u) - gram_pair(gram, eta_u, zeta_v)
 
 
 @dataclass

@@ -251,6 +251,13 @@ def test_wrong_length_seed_is_schema_error(tmp_path):
         load_catalog(path)
 
 
+def test_zero_length_seed_is_named(tmp_path):
+    # symmetric but indefinite: (1, 1) has squared length 1 - 1 = 0
+    entry = _a2_entry(gram=[[1, 0], [0, -1]], orbits=[{"seed": [1, 1], "mult": 2}])
+    with pytest.raises(InvariantViolation, match=r"seed \(.*\) has zero squared length"):
+        load_catalog(_write_catalog(tmp_path, [entry]))
+
+
 def test_duplicate_names_rejected(tmp_path):
     with pytest.raises(SchemaError, match="duplicate"):
         load_catalog(_write_catalog(tmp_path, [_a1_entry(), _a1_entry()]))

@@ -123,6 +123,42 @@ def test_weyl_action_rejects_unstable(group_a2):
         lat.check_weyl_stable()
 
 
+def full_group_stability(lattice):
+    """Verbatim copy of the scan over every group element that
+    ``check_weyl_stable`` replaced; returns the message of the first failure."""
+    for w in lattice.system.weyl_group():
+        for b in lattice.basis:
+            if not lattice.contains(w(b)):
+                return f"{w.name} moves basis vector {b} off the lattice"
+    return None
+
+
+def _simple_stability(lattice):
+    try:
+        lattice.check_weyl_stable()
+    except LatticeNotStable as exc:
+        return str(exc)
+    return None
+
+
+def test_check_weyl_stable_matches_the_full_group_scan(catalog, group_a2, f4_system, f4_lattice):
+    lattices = [entry.lattice for entry in catalog] + [f4_lattice]
+    for basis in (
+        [(1, 0), (0, 2)], [(2, 0), (0, 1)], [(1, 1), (0, 2)], [(2, 0), (1, 1)], [(1, 0), (1, 3)]
+    ):
+        lattices.append(Lattice(group_a2.system, [vec(b) for b in basis]))
+    for k in range(4):
+        basis = list(f4_lattice.basis)
+        basis[k] = tuple(2 * x for x in basis[k])
+        lattices.append(Lattice(f4_system, basis))
+    failures = 0
+    for lat in lattices:
+        expected = full_group_stability(lat)
+        assert _simple_stability(lat) == expected
+        failures += expected is not None
+    assert failures == 9
+
+
 def test_validate_generic_worked_case(group_a1):
     # 2 alpha(k alpha + alpha/20) = 4k + 1/5, never an integer for |k| <= 2
     shift = validate_generic(

@@ -82,6 +82,46 @@ def test_report_digests_radius_4(name):
     assert hashlib.sha256(report).hexdigest() == DIGESTS_RADIUS_4[name]
 
 
+# SHA-256 of emit(run_suite(entry, radius=r)) for r = 5, 6, recorded with
+# Weyl elements as Fraction matrices and chambers found by a descent walk,
+# before elements became root permutations.
+DIGESTS_RADIUS_5_6 = {
+    "group-a1": (
+        "bcc08e0feaf207b05cf08145b5d25f9dfbc8fdbdddbd0b663a17c3ee1156b42e",
+        "a3dad10f9ab5032c6c18b64138f62d3343e8be83a37e36c00ae16f73749ff06d",
+    ),
+    "aii-a1": (
+        "6990de73a97ef50993b4ff32a32835013e95bce9449e88a5b84f64745fd2399a",
+        "56e300ecd85ce69cfe331e2bf17d035ccbf78073f8a8c9117933edcbc0163757",
+    ),
+    "sphere-a1": (
+        "fd07d20563a89191e4ed5b13961f83ec8ccb8a70d9dc6f063d109ad6e0be3a95",
+        "2c85e3295f400bd9d81ff17c657e6312dc03cc711aa47b72a7deda749b4359da",
+    ),
+    "group-a2": (
+        "a96e91eb178dc611c07ab7afa816e54da6cc442b877eae197dfdaef5daca54c6",
+        "81157ba97ff7bdf8d46b680c27cf8bc9818647eb13e8dde806251a011a4875d5",
+    ),
+    "ai-a2": (
+        "99a29182ccdf43f5cf75f8e243058fd1632ba5aded911089a29458dd004d0145",
+        "1a321967a6acdbb00d8000be1db32b1b51b4bdf9bb405572aaac6ddf971de966",
+    ),
+    "eiv-a2": (
+        "5d36ad62e2b14b1f5e86e6c76f037689862d972e09b7ea3227e70ed917eff58e",
+        "849445ef012f2f0d56328ee2ea7c0067a4193a8b173c65861df025e46e91cacf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS_RADIUS_5_6))
+def test_report_digests_radius_5_6(name):
+    entry = get_entry(name)
+    got = tuple(
+        hashlib.sha256(emit(run_suite(entry, radius=F(r)))).hexdigest() for r in (5, 6)
+    )
+    assert got == DIGESTS_RADIUS_5_6[name]
+
+
 def test_pool_gives_serial_bytes(group_a2):
     # radius 3: 114 bad/ugly tasks, enough for the sweep to use the pool
     serial = emit(run_suite(group_a2, radius=F(3), jobs=1))

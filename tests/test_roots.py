@@ -3,12 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootquilt import InvariantViolation, NotRegular, RestrictedRootSystem, UnknownRoot, get_entry
 from rootquilt.lattice import canonical_shift
-from rootquilt.linalg import gram_pair, identity, mat_mul, mat_vec
+from rootquilt.linalg import gram_pair, identity, inverse, mat_mul, mat_vec
 
 
 A2_GRAM = ((F(2), F(-1)), (F(-1), F(2)))
@@ -76,7 +76,7 @@ def test_weyl_closed_under_products():
     W = make_a2().weyl_group()
     for a in W:
         for b in W:
-            assert mat_mul(a.matrix, b.matrix) in W.by_matrix
+            assert mat_mul(a.matrix, b.matrix) == W.multiply(a, b).matrix
 
 
 def test_weyl_matrices_are_gram_orthogonal():
@@ -328,3 +328,122 @@ def test_pairing_matches_the_gram_pairing(catalog, f4_system):
         # not a root: the pairing falls back to the Gram matrix
         half = tuple(x / 3 for x in sys_.roots[0])
         assert sys_.pairing(half, vs[0]) == gram_pair(sys_.gram, half, vs[0])
+
+
+# -- root permutations against the matrix BFS and the descent walk ----------
+
+
+def matrix_bfs(system):
+    """Verbatim copy of the matrix BFS that the permutation BFS replaced.
+
+    Returns the elements as (matrix, word) pairs in discovery order.
+    """
+    gens = [system.reflection_matrix(a) for a in system.simple_roots]
+    ident = (identity(system.rank), ())
+    elements = [ident]
+    seen = {ident[0]}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w_matrix, w_word in frontier:
+            for i, g in enumerate(gens):
+                m = mat_mul(w_matrix, g)
+                if m not in seen:
+                    seen.add(m)
+                    el = (m, w_word + (i,))
+                    elements.append(el)
+                    nxt.append(el)
+        frontier = nxt
+    return elements
+
+
+def descent_walk(system, v):
+    """Verbatim copy of the descent walk that the sign-mask lookup replaced.
+
+    Returns the word of simple reflections walking v into the base chamber;
+    the chamber element is the product of the word.
+    """
+    walls = [a for a in system.roots if system.pairing(a, v) == 0]
+    if walls:
+        raise NotRegular(walls)
+    simple = system.simple_roots
+    x = v
+    word = []
+    guard = 4 * len(system.roots) + 8
+    while True:
+        i = next((k for k, a in enumerate(simple) if system.pairing(a, x) < 0), None)
+        if i is None:
+            break
+        x = system.reflect(simple[i], x)
+        word.append(i)
+        guard -= 1
+        if guard < 0:
+            raise InvariantViolation("descent walk failed to terminate")
+    return word
+
+
+def walk_element(system, by_matrix, v):
+    """(matrix, word) of the element the descent walk finds for v."""
+    m = identity(system.rank)
+    for i in descent_walk(system, v):
+        m = mat_mul(m, system.reflection_matrix(system.simple_roots[i]))
+    return m, by_matrix[m]
+
+
+def _assert_permutation_bfs_matches(system):
+    expected = matrix_bfs(system)
+    group = system.weyl_group()
+    assert [(w.matrix, w.word) for w in group] == expected
+    for w in group:
+        assert [system.roots[j] for j in w.perm] == [w(a) for a in system.roots]
+
+
+def test_permutation_bfs_matches_matrix_bfs(catalog):
+    for entry in catalog:
+        _assert_permutation_bfs_matches(entry.system)
+
+
+def test_permutation_bfs_matches_matrix_bfs_f4(f4_system):
+    _assert_permutation_bfs_matches(f4_system)
+
+
+def test_chamber_of_matches_descent_walk_on_every_window(catalog):
+    for entry in catalog:
+        sys_ = entry.system
+        by_matrix = dict(matrix_bfs(sys_))
+        shift = canonical_shift(sys_, entry.lattice, radius=F(3))
+        for q in shift.window_points():
+            v = tuple(x + a for x, a in zip(q, shift.a))
+            w = sys_.chamber_of(v)
+            assert (w.matrix, w.word) == walk_element(sys_, by_matrix, v)
+
+
+_A2 = make_a2()
+_A2_BY_MATRIX = dict(matrix_bfs(_A2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    vx=st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    vy=st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+def test_chamber_of_matches_descent_walk_a2(vx, vy):
+    v = (vx, vy)
+    assume(all(_A2.pairing(a, v) != 0 for a in _A2.roots))
+    w = _A2.chamber_of(v)
+    assert (w.matrix, w.word) == walk_element(_A2, _A2_BY_MATRIX, v)
+
+
+def test_from_word_rejects_letters_outside_the_rank():
+    W = make_a2().weyl_group()
+    assert W.from_word((0, 1)) == W.multiply(W.simple[0], W.simple[1])
+    for letter in (-1, 2):
+        with pytest.raises(UnknownRoot, match=r"letters run 1\.\.2"):
+            W.from_word((0, letter))
+
+
+def test_inverse_and_identity_compose():
+    W = make_a2().weyl_group()
+    for w in W:
+        assert W.multiply(w, W.inverse(w)) == W.identity
+        assert W.inverse(w).matrix == inverse(w.matrix)

@@ -256,6 +256,27 @@ def test_cli_triangle_accepts_four_samples(capsys):
     assert json.loads(capsys.readouterr().out)["passed"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["product", "--pair", "group-a2", "--q1", "1,0", "--w", "0", "--q2", "0,1"], "1..2"),
+        (["product", "--pair", "group-a2", "--q1", "1,0", "--w", "1,3", "--q2", "0,1"], "1..2"),
+        (["index", "--pair", "group-a1", "--q-in", "1", "--w-out", "2", "--q-out", "1"], "1..1"),
+        (["verify", "--pair", "group-a1", "--radius", "1", "--triangle", "1"], "Q:W"),
+        (["verify", "--pair", "group-a1", "--radius", "1", "--triangle", "1,2:e"], "of rank 1"),
+        (["triangle", "--pair", "group-a1", "--q", "x", "--w", "1"], "integers"),
+        (["triangle", "--pair", "group-a1", "--q", "1,2", "--w", "1"], "of rank 1"),
+        (["triangle", "--pair", "group-a1", "--q", "1", "--w", "a"], "invalid word"),
+    ],
+)
+def test_cli_rejects_malformed_input(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_cli_unknown_pair_fails():
     proc = run_cli("verify", "--pair", "nope")
     assert proc.returncode != 0
