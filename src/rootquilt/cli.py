@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .catalog import get_entry, load_catalog
 from .errors import RootQuiltError
-from .indices import QuiltDatum, classify, filtration_weight, monotone_data, quilt_index
+from .indices import QuiltDatum, classify, index_table, monotone_data, quilt_index
 from .lattice import Mode
 from .linalg import format_rational, parse_rational
 from .ring import Generator, star_unit_sector, triangularity_certificate
@@ -118,12 +119,31 @@ def _write(report: Report, fmt: str) -> None:
     sys.stdout.buffer.flush()
 
 
+def _rational(option: str, text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise RootQuiltError(f"invalid {option} {text!r}; use a rational such as 1/8") from None
+
+
 def _common_params(args) -> dict:
-    return {
-        "tau": None if args.tau is None else parse_rational(args.tau),
-        "epsilon": None if args.epsilon is None else parse_rational(args.epsilon),
-        "radius": parse_rational(args.radius),
+    params = {
+        "tau": None if args.tau is None else _rational("--tau", args.tau),
+        "epsilon": None if args.epsilon is None else _rational("--epsilon", args.epsilon),
+        "radius": _rational("--radius", args.radius),
     }
+    if params["tau"] is not None and params["tau"] <= 0:
+        raise RootQuiltError(f"--tau must be positive, not {args.tau}")
+    if params["radius"] < 0:
+        raise RootQuiltError(f"--radius must be non-negative, not {args.radius}")
+    return params
+
+
+def _entry(args):
+    try:
+        return get_entry(args.pair, args.catalog)
+    except KeyError as exc:
+        raise RootQuiltError(exc.args[0]) from None
 
 
 def cmd_info(args) -> int:
@@ -144,7 +164,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    entry = get_entry(args.pair, args.catalog)
+    entry = _entry(args)
     params = _common_params(args)
     triangle_data = []
     for spec_text in args.triangle:
@@ -167,7 +187,7 @@ def cmd_verify(args) -> int:
 
 
 def _entry_and_shift(args):
-    entry = get_entry(args.pair, args.catalog)
+    entry = _entry(args)
     params = _common_params(args)
     shift = build_shift(entry, params["epsilon"], params["radius"], Mode.SMALL_IN_CHAMBER)
     return entry, params, shift
@@ -195,12 +215,12 @@ def cmd_index(args) -> int:
 def cmd_filtration(args) -> int:
     entry, params, shift = _entry_and_shift(args)
     group = entry.system.weyl_group()
+    table = index_table(shift)
     report = Report(entry.name, "filtration", _report_params(params, shift))
-    for w in group:
-        report.add_row("filtration", w.name, filtration_weight(w, shift))
-    for q in shift.window_points():
-        w = entry.system.chamber_of(tuple(a + b for a, b in zip(q, shift.a)))
-        report.add_row("leading", ",".join(format_rational(x) for x in q), w.name)
+    for w, fil in zip(group, table.filtration):
+        report.add_row("filtration", w.name, fil)
+    for q, iw in zip(shift.window_points(), table.chambers):
+        report.add_row("leading", ",".join(format_rational(x) for x in q), group.elements[iw].name)
     report.add_check("filtration", True, f"{group.order} weights")
     _write(report, args.format)
     return 0

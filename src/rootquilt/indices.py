@@ -11,9 +11,10 @@ fixed sign convention (floor sum over the positive system of w X0) is used
 throughout and no absolute grading is exposed.
 
 The per-datum functions evaluate each quantity directly in exact rational
-arithmetic.  ``IndexTable`` holds the same quantities over a whole window as
-integers, built once per shift; the suite's sweeps read the table, and the
-per-datum functions remain its oracles.
+arithmetic.  ``IndexTable`` holds the same quantities over a whole window,
+built once per shift, as integers apart from the |W| filtration weights; the
+suite's sweeps and the ring certificates read the table, and the per-datum
+functions remain its oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import FloorBoundary, InvariantViolation, ModeMismatch, NotDominant, NotUgly
@@ -334,7 +337,7 @@ def _parity(mults: Iterable[int], degrees: Sequence[int], coefficients: str) -> 
 
 
 class IndexTable:
-    """Integer tables of one generic shift over its window.
+    """Exact tables of one generic shift over its window.
 
     Since 2*alpha(q) is an integer at every lattice point q, the floor terms
     f[q][alpha] = floor(2*alpha(q + a)) = 2*alpha(q) + floor(2*alpha(a)) are
@@ -347,6 +350,14 @@ class IndexTable:
     - the ugly index of (q, w) is the sum over R+(w_in) minus R+(w) of
       m_alpha (2 f[q][alpha] + 1), where w_in is the chamber of q + a.
 
+    The filtration weight fil(w), the sum over R+(w) of m_alpha
+    frac(2*alpha(a)), is kept as one rational per chamber element.
+
+    The window is a Gram ball in a W-stable lattice, so each w permutes it.
+    Since 2 alpha(w q) = 2 (w^-1 alpha)(q), the row of w(q) is the row of q
+    read through the root permutation of w^-1, and the rows determine the
+    points; ``perms[k][iq]`` is the index of w_k(q) found that way.
+
     Window points are indexed in ``shift.window_points()`` order, chamber
     elements in Weyl group order and roots in ``system.roots`` order.  The
     per-datum functions of this module are the oracles these tables answer
@@ -356,7 +367,7 @@ class IndexTable:
     def __init__(self, shift: GenericShift):
         system = shift.system
         roots = system.roots
-        group = system.weyl_group()
+        group = self._group = system.weyl_group()
         two_alpha_a = [2 * system.pairing(al, shift.a) for al in roots]
         for al, t in zip(roots, two_alpha_a):
             if t.denominator == 1:
@@ -378,6 +389,30 @@ class IndexTable:
             [sum(self.mult[i] * row[i] for i in pos) for pos in self.positive]
             for row in self.floors
         ]
+        self.filtration: list[Fraction] = [
+            sum((self.mult[i] * (two_alpha_a[i] - self.floor_a[i]) for i in pos), Fraction(0))
+            for pos in self.positive
+        ]
+
+    @cached_property
+    def inverses(self) -> list[int]:
+        """inverses[k] is the index of w_k^-1."""
+        position = {w: k for k, w in enumerate(self._group)}
+        return [position[self._group.inverse(w)] for w in self._group]
+
+    @cached_property
+    def perms(self) -> list[tuple[int, ...]]:
+        """perms[k][iq] is the index of w_k(q) among the window points."""
+        index = {row: iq for iq, row in enumerate(self.two_alpha_q)}
+        elements = self._group.elements
+        out = []
+        for w, k in zip(elements, self.inverses):
+            read = itemgetter(*elements[k].perm)
+            try:
+                out.append(tuple(index[read(row)] for row in self.two_alpha_q))
+            except KeyError:
+                raise InvariantViolation(f"{w.name} moves a window point off the window") from None
+        return out
 
     def ugly_index(self, iq: int, iw: int) -> int:
         """``ugly_index`` of window point iq against chamber element iw."""

@@ -4,7 +4,8 @@ Only products with a left factor in the identity sector are defined: the
 product rule y[e;q1] * y[w;q2] = y[w; w(q1)+q2] makes the identity sector a
 copy of the lattice monoid algebra and every other sector a free rank-one
 module over it.  Products with both factors outside the identity sector are
-a hard error, never an approximation.
+a hard error, never an approximation.  The window certificates read the
+permutations and filtration weights of the shift's index table.
 
 Coefficients default to the two-element field, where all signs are trivial.
 An integer mode exists, but every product result is flagged as carrying an
@@ -163,46 +164,44 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
     """Factor every window generator through a leading term of its sector.
 
     For each (w, q) with a witness q' in the window, the exponent
-    s = w^{-1}(q - q') satisfies star_unit_sector(s, y[w;q']) = y[w;q]; the
-    identity is re-checked row by row.  Missing witnesses are reported, not
-    fatal; the caller may enlarge the window.
+    s = w^{-1}q - w^{-1}q' satisfies star_unit_sector(s, y[w;q']) = y[w;q];
+    the identity w(w^{-1}q) = q is re-checked row by row on the window
+    permutations.  Missing witnesses are reported, not fatal.
     """
-    group = shift.system.weyl_group()
-    witnesses = chamber_witnesses(shift)
+    table = index_table(shift)
+    elements = shift.system.weyl_group().elements
     points = shift.window_points()
-    leading = [leading_term(q, shift) for q in points]
-    if len({(lt.w, lt.q) for lt in leading}) != len(points):
-        raise WindowTooSmall((), "leading-term assignment is not injective")
-    order = sorted(group, key=lambda w: (filtration_weight(w, shift), w.word))
+    # chamber element -> its first window point, in window order
+    first = {iw: table.chambers.index(iw) for iw in dict.fromkeys(table.chambers)}
     rows: list[CertificateRow] = []
     uncovered: list[WeylElement] = []
-    for w in order:
-        if w not in witnesses:
+    for k in sorted(range(len(elements)), key=lambda k: (table.filtration[k], elements[k].word)):
+        w = elements[k]
+        if k not in first:
             uncovered.append(w)
             continue
-        q_prime = witnesses[w]
-        w_inv = group.inverse(w)
-        fil = filtration_weight(w, shift)
-        for q in points:
-            s = w_inv(sub(q, q_prime))
-            if star_unit_sector(s, Generator(w, q_prime)) != Generator(w, q):
+        to_w, from_w = table.perms[k], table.perms[table.inverses[k]]
+        q_prime, base, fil = points[first[k]], points[from_w[first[k]]], table.filtration[k]
+        for iq, q in enumerate(points):
+            if to_w[from_w[iq]] != iq:
                 raise WindowTooSmall((w,), "factorization identity failed")
-            rows.append(CertificateRow(w, q, q_prime, s, fil))
+            rows.append(CertificateRow(w, q, q_prime, sub(points[from_w[iq]], base), fil))
+    witnesses = {elements[k]: points[iq] for k, iq in first.items()}
     return TriangularityCertificate(rows, tuple(uncovered), witnesses)
 
 
 def r_module_basis_check(shift: GenericShift) -> tuple[bool, list[tuple[Generator, Vec]]]:
-    """Check that y[w;q] = star(w^{-1} q, y[w;0]) across the window."""
-    group = shift.system.weyl_group()
-    table: list[tuple[Generator, Vec]] = []
-    for w in group:
-        w_inv = group.inverse(w)
-        for q in shift.window_points():
-            q1 = w_inv(q)
-            if star_unit_sector(q1, Generator(w, tuple(Fraction(0) for _ in q))) != Generator(w, q):
-                return False, table
-            table.append((Generator(w, q), q1))
-    return True, table
+    """Check y[w;q] = star(w^{-1} q, y[w;0]) = y[w; w(w^{-1} q)] on the window permutations."""
+    table = index_table(shift)
+    points = shift.window_points()
+    rows: list[tuple[Generator, Vec]] = []
+    for k, w in enumerate(shift.system.weyl_group()):
+        to_w, from_w = table.perms[k], table.perms[table.inverses[k]]
+        for iq, q in enumerate(points):
+            if to_w[from_w[iq]] != iq:
+                return False, rows
+            rows.append((Generator(w, q), points[from_w[iq]]))
+    return True, rows
 
 
 @dataclass

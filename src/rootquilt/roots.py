@@ -252,6 +252,7 @@ class RestrictedRootSystem:
             return self._weyl
         index = {a: i for i, a in enumerate(self.roots)}
         self._positive_index = tuple(index[a] for a in self.positive_roots)
+        self._indivisible_index = tuple(index[a] for a in self.indivisible_positive_roots)
         self._simple_index = tuple(index[b] for b in self.simple_roots)
         self._simple_inverse = inverse(transpose(self.simple_roots))
         gens = [tuple(index[self.reflect(b, a)] for a in self.roots) for b in self.simple_roots]
@@ -289,11 +290,8 @@ class RestrictedRootSystem:
 
     def length(self, w: WeylElement) -> int:
         """Number of indivisible positive roots sent to negative ones."""
-        return sum(
-            1
-            for a in self.indivisible_positive_roots
-            if self.pairing(w(a), self.base_point) < 0
-        )
+        positive = set(self._positive_index)
+        return sum(1 for i in self._indivisible_index if w.perm[i] not in positive)
 
     # -- validation ------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Suite runner: executes every check for a catalog entry and serializes
 the outcome as a deterministic report.
 
-The per-datum sweeps read integers from the shift's index table
-(``indices.index_table``), built once per run: the bad/ugly sweep, the degree
-column of the implication sweep, and the parity and Poincare censuses.  The
-Fraction functions of ``indices`` that the table replaces stay the public
-oracles and are not called here.
+The per-datum sweeps read the shift's index table (``indices.index_table``),
+built once per run: the bad/ugly sweep, the filtration table, the degree and
+filtration columns of the implication sweep, the parity and Poincare
+censuses, and the ring certificates.  The Fraction functions of ``indices``
+that the table replaces stay the public oracles and are not called here.
 
 The bad/ugly sweep may be partitioned across worker processes with ``jobs``;
 tasks are enumerated in a fixed order and results merged in that order, so
@@ -28,7 +28,6 @@ from .indices import (
     QuiltClass,
     capping_area,
     capping_maslov,
-    filtration_weight,
     implication_violations,
     index_table,
     monotone_data,
@@ -332,11 +331,10 @@ def _run_suite(
 
     # filtration table
     stage["check"] = "filtration_minimum"
-    values = {w: filtration_weight(w, shift) for w in group}
-    for w in group:
-        report.add_row("filtration", w.name, values[w])
-    others = [values[w] for w in group if w is not group.identity]
-    unique_min = (not others) or values[group.identity] < min(others)
+    values = table.filtration
+    for w, fil in zip(group, values):
+        report.add_row("filtration", w.name, fil)
+    unique_min = all(values[0] < fil for fil in values[1:])  # the identity comes first
     report.add_check("filtration_minimum", unique_min, "unique minimum at the identity")
 
     # implication sweep: one (degree, action, filtration) row per generator
@@ -347,7 +345,7 @@ def _run_suite(
         (
             table.degrees[iq][iw],
             gram_pair(system.gram, add(q, shift.a), x0_images[w]),
-            values[w],
+            values[iw],
         )
         for iq, q in enumerate(points)
         for iw, w in enumerate(group)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rootquilt import (
     FloorBoundary,
+    InvariantViolation,
     Mode,
     ModeMismatch,
     NotUgly,
@@ -450,3 +451,61 @@ def test_index_table_morse_mode_mismatch(group_a1):
     )
     with pytest.raises(ModeMismatch):
         index_table(shift).morse_index(0)
+
+
+# -- the window permutations and filtration weights against w(q) -------------
+
+PAIRS = ["group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2"]
+
+
+def _assert_perms_match_action(shift):
+    group = shift.system.weyl_group()
+    points = shift.window_points()
+    table = index_table(shift)
+    for k, w in enumerate(group):
+        assert [points[i] for i in table.perms[k]] == [w(q) for q in points]
+        assert group.elements[table.inverses[k]] == group.inverse(w)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_window_perms_match_weyl_action(name):
+    entry = get_entry(name)
+    for r in range(4):
+        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        _assert_perms_match_action(shift)
+
+
+def test_window_perms_match_weyl_action_f4(f4_system, f4_lattice):
+    # r = 1 holds the origin alone (the shortest lattice vectors have norm 2)
+    shift = canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    assert len(shift.window_points()) == 49
+    _assert_perms_match_action(shift)
+
+
+def _assert_filtration_matches_oracle(shift):
+    group = shift.system.weyl_group()
+    assert index_table(shift).filtration == [filtration_weight(w, shift) for w in group]
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_table_filtration_matches_filtration_weight(name):
+    entry = get_entry(name)
+    _assert_filtration_matches_oracle(
+        canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+    )
+
+
+def test_table_filtration_matches_filtration_weight_f4(f4_system, f4_lattice):
+    _assert_filtration_matches_oracle(
+        canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(0))
+    )
+
+
+def test_window_perms_reject_a_window_that_is_not_weyl_stable(group_a1):
+    # the window {0, -1} cut from the worked shift's: s1 sends -1 to 1, outside it
+    shift = validate_generic(
+        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
+    )
+    shift._points = shift.window_points()[:2]
+    with pytest.raises(InvariantViolation, match="s1 moves a window point off the window"):
+        index_table(shift).perms

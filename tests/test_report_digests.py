@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from rootquilt import get_entry
+from rootquilt.cli import main
 from rootquilt.suite import emit, run_suite
 
 # SHA-256 of emit(run_suite(entry, radius=r)) for r = 0, 1, 2, 3.  No
@@ -127,3 +128,91 @@ def test_pool_gives_serial_bytes(group_a2):
     serial = emit(run_suite(group_a2, radius=F(3), jobs=1))
     pooled = emit(run_suite(group_a2, radius=F(3), jobs=2))
     assert serial == pooled
+
+
+# SHA-256 of the `certify` and `filtration` report bytes (default format,
+# tau and epsilon) for r = 0, 1, 2, 3, recorded while the certificates still
+# applied Fraction matrices and located chambers point by point.
+CLI_DIGESTS = {
+    ("certify", "group-a1"): (
+        "2564ad9d33ab64b9d7c0c6127a1add0da63097f7a75a326f3d70a33d56fa5dff",
+        "021303bb70cadc841171b1cb6be81cb35bce9e5c5ff7e78a858a5f16a9854388",
+        "88c36b4f8428d99d208906124286d2ec3dc5f3ccb199916c5ca476c81c2e76c5",
+        "b657601a1d1029f749f29b6763a336c7f2e22780567b924ae8e65701b097ea23",
+    ),
+    ("certify", "aii-a1"): (
+        "dcf8fcc392b6ddd7e7b8803677ea7b8bb20b70c842ea91c801ac12ebbf7cade6",
+        "5cf438e61741eb9c654f20923ca835aa485167507a13f5964a8115e619310ead",
+        "912cbbcef56ea0727a8128561eabc2e04eda39bc784376d0e60a5f37fa5486c9",
+        "532031d39a2d3deea479a7302f817792036280aa48bc35d853f7dd9551f42b2e",
+    ),
+    ("certify", "sphere-a1"): (
+        "9320248e2946b227b3b95a66a1c76550c534f49a9f7e21371238958ed6f07bd2",
+        "72e38c87168c3c4d83634dc2b2429b7766fe3ba21b642208800ba3dd28372f9f",
+        "3a09787fe1d68e182a05cdc85a650c69b637d6cae5542a42f0009350094eea80",
+        "900e0d34ea5580c23f7990e0f09ff10d1a7b5004e15bcc77c85cf48e8193dee7",
+    ),
+    ("certify", "group-a2"): (
+        "87c07bc5ff1e1989ac2397363cf2759541f9b40a175f7e290cad88fc227b39e0",
+        "9d76439c6236dd851b0a5a14978e602c3a00dab28d68e6be292d11997be0432d",
+        "da557d35f8205e440c46c2ca06fc3447d202b7678ff5f690e1f0af3621bcfbff",
+        "8aeb4ed52c4bb42474f3b078fd1f2e3464e2675957afb0de137a6d27c399341e",
+    ),
+    ("certify", "ai-a2"): (
+        "958dcd9c188e9fe65e72af4892a85ce15eea35d1ea58c70200a87c068e36b2f6",
+        "d23538894cc2661c5b71b6e34ad04a75415ad9b918f22ca1b60e30fbd26c9f9b",
+        "5a6a84b81fa00cf60a4e9d6032ff33ec05f84a7cafa3181ec36a3d6f31f4d7c4",
+        "c90dba880dd36e5b0482887994c4db21a20209c78edd852ce6e2b34449e01320",
+    ),
+    ("certify", "eiv-a2"): (
+        "cb4769cf1d145144c0e69b0d86119cc3d00ef8350f7fdf38c9a4be59653e95eb",
+        "25a7a580cb256ce9f686d5634d547e130a5e640aa12990d90c64b7d588b9eee5",
+        "9827ab8feb296c63dfc66717a9a14e26e1d4917e61942d5906b89c80640d2564",
+        "112c30325232669142e7d36b95ca8bd110d37903014bd130928757409b0e1bc2",
+    ),
+    ("filtration", "group-a1"): (
+        "f862737d5ede6f84aab984fc4c56bca8fe8d67f67ca37800eb65ff10e5937179",
+        "9d677b480a70f338c49141054dac468db0303fd5ded1f1345bae3d90b2750885",
+        "0b5ad8cef636280ecd97608e6fd9e816771923f3711299c5f085d5764f9f637e",
+        "d997fe6bdbfaf26cd5226de350f22f9fc15bd0d6feef89478e744bd5133cec3e",
+    ),
+    ("filtration", "aii-a1"): (
+        "0114aa46b5e25a1fec6114db55ac542f1933cd1a6b4b5158a60f2adb11b46a82",
+        "21b1e37f2f3f3aeb100ae6807f27c2e7099f92095eb4de2b831b7c4e006ddc9c",
+        "8c53eb6d07af87e8ddd26a575d6f99ea819d2a63042a24fb8ed133379178d2a6",
+        "4b9c0817a52061cec1d2ec76786a17c71913c905c19d954bfae0c0ebefccf5c6",
+    ),
+    ("filtration", "sphere-a1"): (
+        "f011a2404f6fd437296a7d412cbdc8e35622bdbc9bce47617748e25bdb5b4764",
+        "7e2aa74efc0ea8975736cd1cb31c98a0581ef20fa46ce583f82810eac66ab471",
+        "e810189cdc3eeaa8f25dc2199c30e080d22d5c167e026ee61a1743a9771f92db",
+        "3238bf306c52de0fbf784d8633c0f29dea2c7d4a86604c6db023bf9d5100caea",
+    ),
+    ("filtration", "group-a2"): (
+        "93099f2b84a4b0186b80b819713636cb6113543b3870a3a65cdf61420efa8ccb",
+        "decd43a558e2fbd9eff3e0bd79a569424742522e5fe3b8421d71f46ea5057c4a",
+        "19cb6abc61b3072ab376febb1fabb63904b520106ce450ba2ca3c05593bda6c6",
+        "a2c21961aef3e966906222189533b3f911c20482f6c3d8917fd8aca20648aea1",
+    ),
+    ("filtration", "ai-a2"): (
+        "82358a64158f569d69d99393c2fa355164f72b3f474ffe7340a75de4e85311ef",
+        "7459a762f0fd0b94e67a48c8bfeeee81ce2d67e9a0c1c1163d998d9d841b0d5c",
+        "2cc3e6fcfabb983a7220bfa34009f2099ff84385f15dd924ae08887bf0f2a7b2",
+        "4f318c1d4907ffefb093511ef045f0e6944383301d568043d3c0f5133c862f63",
+    ),
+    ("filtration", "eiv-a2"): (
+        "08b8ec7c3c4b0a45989bc4a0c056377a5f791f982bc7cd16d40fbd1aca803b36",
+        "688ca0b7304519421fae86f1152545e429dd332bb2325047c3bb97da810881cc",
+        "65220676b98b08d616cf04344f34ad135be9274f8f3748a3320430a2ccd5acd4",
+        "30e7525f2574306b39c2878e39d2b823f64e990668c6204aa31e14f3b50f8548",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(CLI_DIGESTS))
+def test_cli_report_digests(command, name, capsysbinary):
+    got = []
+    for r in range(4):
+        assert main([command, "--pair", name, "--radius", str(r)]) == 0
+        got.append(hashlib.sha256(capsysbinary.readouterr().out).hexdigest())
+    assert tuple(got) == CLI_DIGESTS[command, name]

@@ -21,8 +21,11 @@ from rootquilt import (
     triangularity_certificate,
     validate_generic,
 )
+from rootquilt import ring
+from rootquilt.indices import index_table
 from rootquilt.lattice import canonical_shift
 from rootquilt.ring import chamber_witnesses
+from rootquilt.roots import RestrictedRootSystem, WeylElement
 
 
 def test_star_unit_is_identity(a1_shift):
@@ -248,3 +251,38 @@ def test_star_distributes_over_addition(group_a2):
         assert (x + y).star(g) == x.star(g) + y.star(g)
 
     check()
+
+
+def _corrupted_shift(group_a2):
+    """A fresh shift whose window permutation of s1 swaps two images."""
+    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    table = index_table(shift)
+    perm = list(table.perms[1])
+    perm[0], perm[1] = perm[1], perm[0]
+    table.perms[1] = tuple(perm)
+    return shift
+
+
+def test_corrupted_window_permutation_fails_basis_check(group_a2):
+    shift = _corrupted_shift(group_a2)
+    ok, rows = r_module_basis_check(shift)
+    assert not ok
+    assert len(rows) < group_a2.system.weyl_group().order * len(shift.window_points())
+
+
+def test_corrupted_window_permutation_fails_factorization(group_a2):
+    with pytest.raises(WindowTooSmall, match="factorization identity failed"):
+        triangularity_certificate(_corrupted_shift(group_a2))
+
+
+def test_certificates_leave_the_fraction_oracles_alone(group_a2, monkeypatch):
+    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificates read the index table")
+
+    monkeypatch.setattr(WeylElement, "__call__", forbidden)
+    monkeypatch.setattr(RestrictedRootSystem, "chamber_of", forbidden)
+    monkeypatch.setattr(ring, "filtration_weight", forbidden)
+    assert r_module_basis_check(shift)[0]
+    assert triangularity_certificate(shift).complete

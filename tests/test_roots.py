@@ -447,3 +447,16 @@ def test_inverse_and_identity_compose():
     for w in W:
         assert W.multiply(w, W.inverse(w)) == W.identity
         assert W.inverse(w).matrix == inverse(w.matrix)
+
+
+def test_length_counts_inversions_of_the_permutation(catalog, f4_system):
+    """The permutation count against the matrix formula, and against reduced words."""
+    for entry in catalog:
+        sys_ = entry.system
+        for w in sys_.weyl_group():
+            by_matrix = sum(
+                1 for a in sys_.indivisible_positive_roots
+                if sys_.pairing(w(a), sys_.base_point) < 0
+            )
+            assert sys_.length(w) == by_matrix == len(w.word)
+    assert all(f4_system.length(w) == len(w.word) for w in f4_system.weyl_group())

@@ -298,3 +298,28 @@ def test_bad_count_is_one_sector_per_chord():
         order = entry.system.weyl_group().order
         assert int(values[("bad_ugly", "bad_count")]) == n
         assert int(values[("bad_ugly", "ugly_count")]) == n * (order - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--pair", "nope"], "no catalog entry named 'nope'"),
+        (["certify", "--pair", "nope"], "no catalog entry named 'nope'"),
+        (["verify", "--pair", "group-a1", "--radius", "-1"], "--radius must be non-negative"),
+        (["filtration", "--pair", "group-a1", "--radius=-1/2"], "--radius must be non-negative"),
+        (["verify", "--pair", "group-a1", "--radius", "x"], "invalid --radius 'x'"),
+        (["verify", "--pair", "group-a1", "--tau", "abc"], "invalid --tau 'abc'"),
+        (["verify", "--pair", "group-a1", "--tau", "1/0"], "invalid --tau '1/0'"),
+        (["verify", "--pair", "group-a1", "--epsilon", "1/2/3"], "invalid --epsilon '1/2/3'"),
+        (["index", "--pair", "group-a1", "--epsilon", "e", "--q-in", "1", "--w-out", "1",
+          "--q-out", "1"], "invalid --epsilon 'e'"),
+        (["verify", "--pair", "group-a1", "--tau", "0"], "--tau must be positive"),
+        (["verify", "--pair", "group-a1", "--tau=-1/8"], "--tau must be positive"),
+    ],
+)
+def test_cli_rejects_invalid_parameters(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
