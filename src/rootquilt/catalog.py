@@ -3,8 +3,10 @@
 The catalog is data, not code.  An entry carries a Gram matrix, orbit seeds
 with multiplicities, a lattice basis, and a base regular point, all as exact
 rationals (integers or "p/q" strings).  Roots are produced by closing the
-seeds under reflections, so adding a pair needs no rebuild; every structural
-assumption is re-validated on load.
+seeds under reflections, so adding a pair needs no rebuild; each root found
+takes the multiplicity of the root it is the reflection of, so seeds whose
+Weyl orbits meet must agree.  Every structural assumption is re-validated on
+load, and a file that cannot be read or parsed is a ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import jsonschema
 
 from .errors import InvariantViolation, SchemaError
 from .lattice import Lattice, weighted_root_sum
-from .linalg import Mat, Vec, gram_pair, is_symmetric, mat, matrix_rank, parse_rational, reflect, vec
+from .linalg import (
+    Mat, Vec, gram_pair, is_symmetric, mat, mat_vec, matrix_rank, parse_rational, reflect, vec,
+)
 from .roots import RestrictedRootSystem
 
 CATALOG_SCHEMA_ID = "restricted-pair-catalog/v1"
@@ -111,45 +115,44 @@ class CatalogEntry:
 
 
 def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
-    """Close seed roots under all reflections and assign orbit multiplicities."""
-    roots: set[Vec] = set()
+    """Close seed roots under all reflections and assign orbit multiplicities.
+
+    One worklist pass reflects every ordered pair of roots once, through the
+    covector gram * root computed once per root found.  An image takes the
+    multiplicity and seed of the root it came from; reflections keep roots
+    in their Weyl orbit, so a root reached with two multiplicities means two
+    declared orbits meet, and raises ``InvariantViolation``.
+    """
     for s, _ in seeds:
         if all(x == 0 for x in s):
             raise InvariantViolation("zero vector cannot seed a root orbit")
         if gram_pair(gram, s, s) == 0:  # reflections keep lengths, so seeds cover every root
             raise InvariantViolation(f"seed {s} has zero squared length")
-        roots.add(s)
-        roots.add(tuple(-x for x in s))
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(roots)
-        for a in snapshot:
-            for b in snapshot:
-                img = reflect(gram, a, b)
-                if img not in roots:
-                    roots.add(img)
-                    changed = True
-        if len(roots) > 10_000:
-            raise InvariantViolation("orbit closure did not stabilize")
     mult: dict[Vec, int] = {}
-    for seed, m in seeds:
-        orbit = {seed, tuple(-x for x in seed)}
-        frontier = list(orbit)
-        while frontier:
-            b = frontier.pop()
-            for a in roots:
-                img = reflect(gram, a, b)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        for rt in orbit:
-            if rt in mult and mult[rt] != m:
-                raise InvariantViolation(f"conflicting multiplicities on orbit of {seed}")
-            mult[rt] = m
-    missing = roots - set(mult)
-    if missing:
-        raise InvariantViolation(f"{len(missing)} roots carry no declared multiplicity")
+    seed_of: dict[Vec, Vec] = {}
+    roots: list[Vec] = []
+    covectors: list[Vec] = []
+
+    def found(root: Vec, m: int, seed: Vec) -> None:
+        if root not in mult:
+            if len(roots) == 10_000:
+                raise InvariantViolation("orbit closure did not stabilize")
+            mult[root] = m
+            seed_of[root] = seed
+            roots.append(root)
+            covectors.append(mat_vec(gram, root))
+        elif mult[root] != m:
+            raise InvariantViolation(f"conflicting multiplicities on orbit of {seed}")
+
+    for s, m in seeds:
+        found(s, m, s)
+        found(tuple(-x for x in s), m, s)
+    for i, a in enumerate(roots):  # the list grows while it is walked
+        for j in range(i + 1):
+            b = roots[j]
+            found(reflect(covectors[i], a, b), mult[b], seed_of[b])
+            if j < i:
+                found(reflect(covectors[j], b, a), mult[a], seed_of[a])
     return mult
 
 
@@ -238,8 +241,12 @@ def _read_entries(path: str | None) -> list[dict]:
     if path is None:
         text = resources.files("rootquilt").joinpath("data/catalog.json").read_text()
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise SchemaError(f"cannot read catalog {path!r}: {reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

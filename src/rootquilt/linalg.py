@@ -2,8 +2,10 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
 dimensions here are tiny (the rank of a root system, at most a handful),
-so dense fraction-free style Gaussian elimination is all that is needed.
-No floating point enters this module.
+so one dense Gauss-Jordan elimination, ``rref``, serves rank, inverse and
+unique solves; ``det`` keeps its own elimination for the Sylvester test.
+Reflections take the covector gram * alpha from the caller, which computes
+it once per root.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -68,9 +70,12 @@ def gram_pair(gram: Mat, u: Vec, v: Vec) -> Fraction:
     return dot(u, mat_vec(gram, v))
 
 
-def reflect(gram: Mat, alpha: Vec, v: Vec) -> Vec:
-    """Reflection of v across the hyperplane orthogonal to alpha for a symmetric gram."""
-    g_alpha = mat_vec(gram, alpha)
+def reflect(g_alpha: Vec, alpha: Vec, v: Vec) -> Vec:
+    """Reflection of v across the hyperplane orthogonal to alpha.
+
+    ``g_alpha`` is the covector gram * alpha of a symmetric gram, which the
+    caller computes once per root rather than once per reflection.
+    """
     c = 2 * dot(g_alpha, v) / dot(g_alpha, alpha)
     return tuple(x - c * a for x, a in zip(v, alpha))
 
@@ -108,57 +113,29 @@ def det(m: Mat) -> Fraction:
 
 
 def inverse(m: Mat) -> Mat:
+    """Inverse of a square matrix: the right half of rref([m | I])."""
     n = len(m)
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    reduced = rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                    for i, row in enumerate(m)])
+    # [m | I] has rank n, so n rows stay; the last pivot lies in m exactly when m is invertible
+    if n and reduced[-1][n - 1] == 0:
+        raise ValueError("singular matrix")
+    return tuple(row[n:] for row in reduced)
 
 
 def solve_unique(rows: Sequence[Vec], rhs: Vec) -> Vec | None:
     """Solve a (possibly rectangular) linear system.
 
     Returns the solution when it exists and is unique, otherwise None
-    (inconsistent or underdetermined).
+    (inconsistent or underdetermined).  That is when rref of the augmented
+    matrix has one row per unknown, the last with its pivot on the last
+    unknown.
     """
-    m, n = len(rows), len(rows[0]) if rows else 0
-    a = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    if len(piv_cols) < n:
+    n = len(rows[0]) if rows else 0
+    reduced = rref([list(row) + [b] for row, b in zip(rows, rhs, strict=True)])
+    if len(reduced) != n or (n and reduced[-1][n - 1] == 0):
         return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = a[i][n]
-    return tuple(sol)
+    return tuple(row[n] for row in reduced)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:

@@ -242,5 +242,6 @@ def finitely_generated_witness(
         push(Generator(ident, tuple(-x for x in b)))
     for w in group:
         push(Generator(w, cert.chamber_witness[w]))
-    reachable = all(shift.lattice.contains(row.exponent) for row in cert.rows)
+    # exponents are differences of window points and repeat across rows
+    reachable = all(shift.lattice.contains(s) for s in {row.exponent for row in cert.rows})
     return FinitelyGeneratedWitness(tuple(gens), reachable)

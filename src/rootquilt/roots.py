@@ -158,8 +158,6 @@ class RestrictedRootSystem:
         self._weyl: WeylGroup | None = None
         self._covector: dict[Vec, Vec] = {}
         self._validate()
-        # gram * alpha per root, so that alpha(v) is one dot product
-        self._covector = {a: mat_vec(self.gram, a) for a in self.roots}
 
     # -- pairings ------------------------------------------------------
 
@@ -175,9 +173,10 @@ class RestrictedRootSystem:
 
     def reflect(self, alpha: Vec, v: Vec) -> Vec:
         """Reflection of v across the wall of alpha, computed exactly."""
-        if alpha not in self.mult:
+        covector = self._covector.get(alpha)
+        if covector is None:
             raise UnknownRoot(f"{alpha} is not a root")
-        return reflect(self.gram, alpha, v)
+        return reflect(covector, alpha, v)
 
     def reflection_matrix(self, alpha: Vec) -> Mat:
         cols = [self.reflect(alpha, e) for e in (identity(self.rank))]
@@ -322,6 +321,9 @@ class RestrictedRootSystem:
         if matrix_rank(list(self.roots)) != n:
             raise InvariantViolation("roots do not span the ambient space")
         self._check_multiples()
+        # gram * alpha per root, so that alpha(v) is one dot product and a
+        # reflection needs no matrix product
+        self._covector = {a: mat_vec(self.gram, a) for a in self.roots}
         for a in self.roots:
             for b in self.roots:
                 img = self.reflect(a, b)

@@ -2,12 +2,17 @@
 
 import json
 from fractions import Fraction as F
+from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootquilt import InvariantViolation, SchemaError, load_catalog
-from rootquilt.catalog import CATALOG_SCHEMA, CATALOG_SCHEMA_ID, get_entry
+from rootquilt import InvariantViolation, SchemaError, catalog, load_catalog
+from rootquilt.catalog import CATALOG_SCHEMA, CATALOG_SCHEMA_ID, close_orbits, get_entry
+from rootquilt.linalg import dot, gram_pair, mat_vec, parse_rational
 from rootquilt.suite import REPORT_SCHEMA, Report, emit, run_suite
 
 
@@ -300,3 +305,131 @@ def test_emit_tsv_shape():
 def test_emit_unknown_format():
     with pytest.raises(ValueError):
         emit(_tiny_report(), "xml")
+
+
+# The orbit closure against its oracle: the fixed-point rounds and per-seed
+# orbit walk that close_orbits ran before it became one worklist pass, kept
+# verbatim, with the reflection helper of that time that took the Gram matrix.
+def _old_reflect(gram, alpha, v):
+    g_alpha = mat_vec(gram, alpha)
+    c = 2 * dot(g_alpha, v) / dot(g_alpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha))
+
+
+def _old_close_orbits(gram, seeds):
+    reflect = _old_reflect
+    roots: set = set()
+    for s, _ in seeds:
+        if all(x == 0 for x in s):
+            raise InvariantViolation("zero vector cannot seed a root orbit")
+        if gram_pair(gram, s, s) == 0:  # reflections keep lengths, so seeds cover every root
+            raise InvariantViolation(f"seed {s} has zero squared length")
+        roots.add(s)
+        roots.add(tuple(-x for x in s))
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(roots)
+        for a in snapshot:
+            for b in snapshot:
+                img = reflect(gram, a, b)
+                if img not in roots:
+                    roots.add(img)
+                    changed = True
+        if len(roots) > 10_000:
+            raise InvariantViolation("orbit closure did not stabilize")
+    mult: dict = {}
+    for seed, m in seeds:
+        orbit = {seed, tuple(-x for x in seed)}
+        frontier = list(orbit)
+        while frontier:
+            b = frontier.pop()
+            for a in roots:
+                img = reflect(gram, a, b)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        for rt in orbit:
+            if rt in mult and mult[rt] != m:
+                raise InvariantViolation(f"conflicting multiplicities on orbit of {seed}")
+            mult[rt] = m
+    missing = roots - set(mult)
+    if missing:
+        raise InvariantViolation(f"{len(missing)} roots carry no declared multiplicity")
+    return mult
+
+
+def _seeded_systems():
+    """(gram, seeds) of every built-in entry, every extra entry and F4, by name."""
+    repo = Path(__file__).resolve().parent.parent
+    texts = [
+        resources.files("rootquilt").joinpath("data/catalog.json").read_text(),
+        (repo / "tests" / "data" / "extra_catalog.json").read_text(),
+        (repo / "bench" / "data" / "f4.json").read_text(),
+    ]
+    systems = {}
+    for text in texts:
+        for raw in json.loads(text)["entries"]:
+            gram = tuple(tuple(parse_rational(x) for x in row) for row in raw["gram"])
+            seeds = [
+                (tuple(parse_rational(x) for x in o["seed"]), o["mult"]) for o in raw["orbits"]
+            ]
+            systems[raw["name"]] = gram, seeds
+    return systems
+
+
+SEEDED = _seeded_systems()
+
+
+def test_seeded_systems_cover_every_catalog():
+    assert len(SEEDED) == 6 + 4 + 1
+
+
+# Plus B2 seeded so that the closure is complete only if each root found late
+# is reflected across the roots found before it, not just they across it.
+ORACLE_CASES = {
+    **SEEDED,
+    "spin5-b2-late-long": (
+        ((F(1), F(0)), (F(0), F(1))),
+        [((F(0), F(1)), 2), ((F(1), F(0)), 2), ((F(-1), F(1)), 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_close_orbits_matches_oracle(name):
+    gram, seeds = ORACLE_CASES[name]
+    assert close_orbits(gram, seeds) == _old_close_orbits(gram, seeds)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_close_orbits_matches_oracle_on_drawn_seeds(name):
+    gram, seeds = SEEDED[name]
+    roots = sorted(close_orbits(gram, seeds))
+
+    # the old closure costs about 1.5 s on all of F4, so it gets fewer draws
+    @settings(max_examples=6 if name == "fi-f4" else 40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(roots), st.integers(1, 3)), min_size=1, max_size=4))
+    def check(drawn):
+        try:
+            expected = _old_close_orbits(gram, drawn)
+        except InvariantViolation:
+            with pytest.raises(InvariantViolation):
+                close_orbits(gram, drawn)
+        else:
+            assert close_orbits(gram, drawn) == expected
+
+    check()
+
+
+def test_close_orbits_reflects_each_ordered_pair_of_f4_roots_once(monkeypatch):
+    calls = []
+    reflect = catalog.reflect
+
+    def counting(*args):
+        calls.append(args)
+        return reflect(*args)
+
+    monkeypatch.setattr(catalog, "reflect", counting)
+    assert len(close_orbits(*SEEDED["fi-f4"])) == 48
+    assert len(calls) <= 48 * 48

@@ -7,6 +7,7 @@ must keep every report byte-identical.
 
 import hashlib
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,27 @@ def test_report_digests_radius_5_6(name):
         hashlib.sha256(emit(run_suite(entry, radius=F(r)))).hexdigest() for r in (5, 6)
     )
     assert got == DIGESTS_RADIUS_5_6[name]
+
+
+EXTRA_CATALOG = str(Path(__file__).resolve().parent / "data" / "extra_catalog.json")
+
+# SHA-256 of emit(run_suite(entry, radius=r)) for the test catalog's B2, G2,
+# A3 and non-reduced BC1 pairs, recorded while the orbit closure still ran
+# fixed-point rounds and a per-seed orbit walk.  All four pass with complete
+# certificates at these radii.
+EXTRA_DIGESTS = {
+    ("spin5-b2", 3): "0aafb511a551a93689d18234bfbaa8fa13fcceecb3e001575dae389f963376d3",
+    ("split-g2", 4): "6a176f3b0a076820f020f887f55b5a2570760433c21e45d95b11f7cf0cc0869d",
+    ("su4-a3", 4): "e4320330994d4acea5ef2622c647061d42f09fde82bf8bf50ef43cf49007d2f5",
+    ("cp3-bc1", 2): "1cb3ae732fea80cf0ecf15cd7315b9d820d62b0f83f7bfd29cc5e6de5274d016",
+}
+
+
+@pytest.mark.parametrize("name, radius", sorted(EXTRA_DIGESTS))
+def test_extra_catalog_report_digests(name, radius):
+    report = run_suite(get_entry(name, EXTRA_CATALOG), radius=F(radius))
+    assert report.passed
+    assert hashlib.sha256(emit(report)).hexdigest() == EXTRA_DIGESTS[name, radius]
 
 
 def test_pool_gives_serial_bytes(group_a2):

@@ -1,5 +1,6 @@
 """Unit-sector product laws, leading terms, certificates, witnesses."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -216,6 +217,15 @@ def test_witness_from_a_given_certificate(catalog):
         given = finitely_generated_witness(shift, triangularity_certificate(shift))
         assert given.generators == own.generators
         assert given.reachable == own.reachable
+
+
+def test_witness_flags_a_non_lattice_exponent(a1_shift):
+    cert = triangularity_certificate(a1_shift)
+    assert finitely_generated_witness(a1_shift, cert).reachable
+    rows = list(cert.rows)
+    rows[3] = dataclasses.replace(rows[3], exponent=(F(1, 2),))
+    corrupted = dataclasses.replace(cert, rows=rows)
+    assert not finitely_generated_witness(a1_shift, corrupted).reachable
 
 
 def test_witness_closure_idempotent(a1_shift):

@@ -323,3 +323,19 @@ def test_cli_rejects_invalid_parameters(argv, message, capsys):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_cli_unreadable_catalog_exits_2(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    cases = [
+        (["verify", "--pair", "group-a1", "--catalog", str(tmp_path / "missing.json")],
+         "No such file or directory"),
+        (["info", "--catalog", str(tmp_path)], "Is a directory"),
+        (["info", "--catalog", str(undecodable)], "can't decode byte 0xff"),
+    ]
+    for argv, reason in cases:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read catalog {argv[-1]!r}: ") and reason in err
