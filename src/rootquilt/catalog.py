@@ -20,7 +20,8 @@ import jsonschema
 from .errors import InvariantViolation, SchemaError
 from .lattice import Lattice, weighted_root_sum
 from .linalg import (
-    Mat, Vec, gram_pair, is_symmetric, mat, mat_vec, matrix_rank, parse_rational, reflect, vec,
+    Mat, Vec, gram_pair, is_symmetric, leading_minors_positive, mat, mat_vec, matrix_rank,
+    parse_rational, reflect, vec,
 )
 from .roots import RestrictedRootSystem
 
@@ -121,13 +122,17 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
     covector gram * root computed once per root found.  An image takes the
     multiplicity and seed of the root it came from; reflections keep roots
     in their Weyl orbit, so a root reached with two multiplicities means two
-    declared orbits meet, and raises ``InvariantViolation``.
+    declared orbits meet, and raises ``InvariantViolation``.  So does a Gram
+    matrix that is not positive definite, checked after the seeds: under an
+    indefinite form the reflected roots grow without bound and never close.
     """
     for s, _ in seeds:
         if all(x == 0 for x in s):
             raise InvariantViolation("zero vector cannot seed a root orbit")
         if gram_pair(gram, s, s) == 0:  # reflections keep lengths, so seeds cover every root
             raise InvariantViolation(f"seed {s} has zero squared length")
+    if not leading_minors_positive(gram):
+        raise InvariantViolation("gram matrix is not positive definite")
     mult: dict[Vec, int] = {}
     seed_of: dict[Vec, Vec] = {}
     roots: list[Vec] = []
@@ -177,7 +182,10 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
         raise SchemaError(f"entry {name!r}: gram matrix is not symmetric")
     if any(len(seed) != rank for seed, _ in seeds):
         raise SchemaError(f"entry {name!r}: every orbit seed needs {rank} coordinates")
-    mult = close_orbits(gram, seeds)
+    try:
+        mult = close_orbits(gram, seeds)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"entry {name!r}: {exc}") from None
     spanned = matrix_rank(list(mult))
     if spanned != rank:
         raise InvariantViolation(

@@ -75,10 +75,10 @@ class Degenerate(RootQuiltError):
 class QuadratureNotConverged(RootQuiltError):
     """The conformal solve did not reach the requested residual."""
 
-    def __init__(self, residual: float, tolerance: float):
+    def __init__(self, residual: float, tolerance: float, message: str = ""):
         self.residual = residual
         self.tolerance = tolerance
-        super().__init__(f"residual {residual:.3e} above tolerance {tolerance:.3e}")
+        super().__init__(message or f"residual {residual:.3e} above tolerance {tolerance:.3e}")
 
 
 class SchemaError(RootQuiltError):

@@ -263,6 +263,24 @@ def test_zero_length_seed_is_named(tmp_path):
         load_catalog(_write_catalog(tmp_path, [entry]))
 
 
+# Symmetric and indefinite, with seeds of nonzero squared length (1 and -1):
+# reflecting them grows the roots' entries without bound, so closing the
+# orbits would never return.
+INDEFINITE = {"gram": [[1, 0], [0, -2]], "seeds": [[1, 0], [1, 1]]}
+
+
+def test_indefinite_gram_is_rejected_before_closing(tmp_path):
+    orbits = [{"seed": s, "mult": 2} for s in INDEFINITE["seeds"]]
+    entry = _a2_entry(name="indefinite", gram=INDEFINITE["gram"], orbits=orbits)
+    with pytest.raises(InvariantViolation) as err:
+        load_catalog(_write_catalog(tmp_path, [entry]))
+    assert str(err.value) == "entry 'indefinite': gram matrix is not positive definite"
+    gram = tuple(tuple(F(x) for x in row) for row in INDEFINITE["gram"])
+    seeds = [(tuple(F(x) for x in s), 2) for s in INDEFINITE["seeds"]]
+    with pytest.raises(InvariantViolation, match="^gram matrix is not positive definite$"):
+        close_orbits(gram, seeds)
+
+
 def test_duplicate_names_rejected(tmp_path):
     with pytest.raises(SchemaError, match="duplicate"):
         load_catalog(_write_catalog(tmp_path, [_a1_entry(), _a1_entry()]))

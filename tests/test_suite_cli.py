@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from rootquilt import get_entry, suite
+from rootquilt.catalog import CATALOG_SCHEMA_ID
 from rootquilt.cli import main
 from rootquilt.suite import (
     Report,
@@ -339,3 +340,22 @@ def test_cli_unreadable_catalog_exits_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: cannot read catalog {argv[-1]!r}: ") and reason in err
+
+
+def test_cli_indefinite_gram_exits_2(tmp_path, capsys):
+    entry = {
+        "name": "indefinite",
+        "kind": "group",
+        "cartan_type": {"family": "A", "rank": 2},
+        "gram": [[1, 0], [0, -2]],
+        "orbits": [{"seed": [1, 0], "mult": 2}, {"seed": [1, 1], "mult": 2}],
+        "lattice_basis": [[1, 0], [0, 1]],
+        "base_point": [1, 1],
+        "dim_lambda": 6,
+    }
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema": CATALOG_SCHEMA_ID, "entries": [entry]}))
+    assert main(["verify", "--pair", "indefinite", "--catalog", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: entry 'indefinite': gram matrix is not positive definite\n"

@@ -1,7 +1,11 @@
 """Affine triple construction, plane reduction, and the conformal solve."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +24,12 @@ from rootquilt import (
     validate_generic,
     verify_hull,
 )
+from rootquilt import triangle
 from rootquilt.lattice import canonical_shift
 from rootquilt.triangle import (
     EXPONENTS,
     PREVERTICES,
+    _gauss_jacobi,
     _sc_derivative,
     boundary_deviation,
     interior_samples,
@@ -272,3 +278,111 @@ def test_hull_reports_the_first_of_equally_worst_points():
     report = verify_hull(FlatMap(), samples=10)
     assert report.max_violation == -0.25
     assert report.worst_point == interior_samples(10)[0]
+
+
+# -- the Gauss-Jacobi rule ----------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+RULE_NODES = (16, 64, 256, 1024)
+RULE_ALPHAS = (-0.75, -0.5, -0.99, 0.0)
+
+
+def _jacobi_reference(j: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """P_j^(alpha, 0) by its explicit sum (DLMF 18.5.8), independent of the recurrence."""
+    out = np.zeros_like(x)
+    for s in range(j + 1):
+        upper = math.gamma(j + alpha + 1) / (math.gamma(j - s + 1) * math.gamma(alpha + s + 1))
+        out += upper * math.comb(j, s) * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (j - s)
+    return out
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS)
+@pytest.mark.parametrize("nodes", RULE_NODES)
+def test_gauss_jacobi_rule_is_orthonormalizing(nodes, alpha):
+    x, w = _gauss_jacobi(nodes, alpha)
+    assert x.shape == w.shape == (nodes,)
+    assert x[0] > -1 and x[-1] < 1 and np.all(np.diff(x) > 0)
+    assert np.all(w > 0)
+    mass = 2 ** (alpha + 1) / (alpha + 1)
+    assert abs(np.sum(w) - mass) <= 1e-14 * mass
+    # A node is held to within rounding; next to x = 1, where 1 - x ~ 1/n^2,
+    # the weight formula amplifies that by about n^2.
+    tol = nodes * nodes * np.finfo(float).eps * mass
+    polys = [_jacobi_reference(j, alpha, x) for j in range(7)]
+    for j, pj in enumerate(polys):
+        for k, pk in enumerate(polys):
+            # the norm of P_j^(alpha, 0) is 2^(alpha + 1) / (2j + alpha + 1)
+            exact = 2 ** (alpha + 1) / (2 * j + alpha + 1) if j == k else 0.0
+            assert abs(np.sum(w * pj * pk) - exact) <= tol, (j, k)
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS)
+@pytest.mark.parametrize("nodes", RULE_NODES)
+def test_gauss_jacobi_rule_matches_scipy(nodes, alpha):
+    special = pytest.importorskip("scipy.special")
+    x, w = _gauss_jacobi(nodes, alpha)
+    xs, ws = special.roots_jacobi(nodes, alpha, 0.0)
+    assert np.max(np.abs(x - xs)) <= 1e-15
+    # scipy's own weights drift by up to 3e-8 relative at 1024 nodes
+    assert np.max(np.abs(w - ws) / ws) <= 1e-6
+
+
+def test_gauss_jacobi_rule_is_cached_read_only():
+    x, w = _gauss_jacobi(64, -0.75)
+    assert _gauss_jacobi(64, -0.75)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_solves_at_one_node_count_share_two_rules():
+    # the two acute corners share alpha = -3/4, the right angle has -1/2
+    _gauss_jacobi.cache_clear()
+    for _ in range(3):
+        solve_triangle(128)
+    assert _gauss_jacobi.cache_info().misses == 2
+
+
+def test_newton_without_steps_is_not_converged(monkeypatch):
+    _gauss_jacobi.cache_clear()
+    monkeypatch.setattr(triangle, "_NEWTON_STEPS", 0)
+    with pytest.raises(QuadratureNotConverged):
+        _gauss_jacobi(16, -0.75)
+    with pytest.raises(QuadratureNotConverged):
+        solve_triangle(16)
+
+
+def test_collapsed_nodes_are_not_a_rule(monkeypatch):
+    # a "Newton step" that sends every guess to 0 converges to one repeated node
+    _gauss_jacobi.cache_clear()
+    monkeypatch.setattr(triangle, "_jacobi_pair", lambda n, alpha, x: (x, np.ones_like(x)))
+    with pytest.raises(QuadratureNotConverged, match="not strictly increasing"):
+        _gauss_jacobi(16, -0.75)
+
+
+def test_corner_residual_stays_at_rounding_level_at_1024_nodes():
+    assert solve_triangle(1024).corner_residual < 1e-13
+
+
+def test_commands_run_with_scipy_unimportable():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from rootquilt.cli import main\n"
+        "codes = [\n"
+        "    main(['verify', '--pair', 'group-a1', '--radius', '1', '--triangle', '0:e']),\n"
+        "    main(['triangle', '--pair', 'group-a1', '--q', '1', '--w', '1',\n"
+        "          '--quad-nodes', '64', '--samples', '40']),\n"
+        "]\n"
+        "sys.exit(0 if codes == [0, 0] else 1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, cwd=REPO, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_no_source_file_names_scipy():
+    package = REPO / "src" / "rootquilt"
+    files = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert files
+    assert [str(p) for p in files if b"scipy" in p.read_bytes()] == []
