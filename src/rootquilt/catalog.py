@@ -7,6 +7,11 @@ seeds under reflections, so adding a pair needs no rebuild; each root found
 takes the multiplicity of the root it is the reflection of, so seeds whose
 Weyl orbits meet must agree.  Every structural assumption is re-validated on
 load, and a file that cannot be read or parsed is a ``SchemaError``.
+
+``CATALOG_SCHEMA`` is the one description of the file format.  A document is
+checked against it by ``_conforms``, a walker over the few JSON Schema
+keywords the schema uses; ``jsonschema`` is imported only when a document
+fails, to word the error exactly as its ``best_match`` does.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from .errors import InvariantViolation, SchemaError
 from .lattice import Lattice, weighted_root_sum
@@ -87,8 +90,67 @@ CATALOG_SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate would re-check the schema itself on every call.
-_CATALOG_VALIDATOR = jsonschema.Draft202012Validator(CATALOG_SCHEMA)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    # JSON has one number type: 1.0 is an integer, a boolean is not
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+_KEYWORDS = frozenset(
+    ("$schema", "type", "const", "enum", "required", "properties", "items", "minItems",
+     "minLength", "minimum")
+)
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: True is not 1, and 1 is 1.0, inside arrays and objects too."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _conforms(doc, schema: dict) -> bool:
+    """Whether ``doc`` is valid under ``schema``, as Draft 2020-12 decides it.
+
+    Walks only the keywords in ``_KEYWORDS``; any other keyword raises
+    ``ValueError``, so a schema edit cannot go unchecked.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
+    if "type" in schema:
+        types = schema["type"]
+        if not any(_TYPES[t](doc) for t in ([types] if isinstance(types, str) else types)):
+            return False
+    if "const" in schema and not _equal(doc, schema["const"]):
+        return False
+    if "enum" in schema and not any(_equal(doc, e) for e in schema["enum"]):
+        return False
+    if isinstance(doc, dict):
+        if any(key not in doc for key in schema.get("required", ())):
+            return False
+        for key, sub in schema.get("properties", {}).items():
+            if key in doc and not _conforms(doc[key], sub):
+                return False
+    if isinstance(doc, list):
+        if len(doc) < schema.get("minItems", 0):
+            return False
+        if "items" in schema and not all(_conforms(x, schema["items"]) for x in doc):
+            return False
+    if isinstance(doc, str) and len(doc) < schema.get("minLength", 0):
+        return False
+    if "minimum" in schema and _TYPES["number"](doc) and doc < schema["minimum"]:
+        return False
+    return True
 
 _ROOT_COUNT = {
     "A": lambda r: r * (r + 1),
@@ -193,7 +255,7 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
             "seed the simple roots, because orbits close only under reflections "
             "in roots already found"
         )
-    system = RestrictedRootSystem(gram, mult.keys(), mult, base_point, name=name)
+    system = RestrictedRootSystem(gram, mult.keys(), mult, base_point, name=name, _closed=True)
     expected_count = _ROOT_COUNT[family](rank)
     if len(system.roots) != expected_count:
         raise InvariantViolation(
@@ -259,9 +321,16 @@ def _read_entries(path: str | None) -> list[dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"catalog is not valid JSON: line {exc.lineno}: {exc.msg}") from None
-    error = jsonschema.exceptions.best_match(_CATALOG_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        raise SchemaError(f"catalog failed schema validation at {error.json_path}: {error.message}")
+    if not _conforms(doc, CATALOG_SCHEMA):
+        import jsonschema  # only to word the error: valid catalogs never load it
+
+        error = jsonschema.exceptions.best_match(
+            jsonschema.Draft202012Validator(CATALOG_SCHEMA).iter_errors(doc)
+        )
+        if error is not None:
+            raise SchemaError(
+                f"catalog failed schema validation at {error.json_path}: {error.message}"
+            )
     names = [raw["name"] for raw in doc["entries"]]
     if len(set(names)) != len(names):
         raise SchemaError("duplicate entry names in catalog")

@@ -45,16 +45,24 @@ def _parse_coords(entry, text: str) -> tuple[int, ...]:
     return coords
 
 
-def _sample_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 4:
-        raise argparse.ArgumentTypeError(
-            f"{count} is too few; at least 4 are needed, one on each boundary arc"
-        )
-    return count
+def _int_at_least(minimum: int, reason: str):
+    """An argparse type: an int of at least ``minimum``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is too few; at least {minimum} {reason}")
+        return value
+
+    return parse
+
+
+_sample_count = _int_at_least(4, "are needed, one on each boundary arc")
+_node_count = _int_at_least(16, "are needed for the corner quadrature")
+_job_count = _int_at_least(1, "is needed")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -64,9 +72,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", default=None, help="shift scale (rational); default is canonical")
     p.add_argument("--radius", default="3", help="window radius (rational)")
     p.add_argument("--format", default="json", choices=["json", "tsv"])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--quad-nodes", type=int, default=256)
+    p.add_argument("--quad-nodes", type=_node_count, default=256)
 
 
 def build_parser() -> argparse.ArgumentParser:

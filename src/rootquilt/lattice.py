@@ -30,6 +30,11 @@ from .roots import RestrictedRootSystem, WeylElement
 DEFAULT_POINT_CAP = 500_000
 
 
+def _vec_text(v: Vec) -> str:
+    """A vector as its exact entries, e.g. (-1, 1/2), for error messages."""
+    return f"({', '.join(map(str, v))})"
+
+
 class Lattice:
     """A full-rank lattice in the Cartan space, given by a basis.
 
@@ -62,8 +67,7 @@ class Lattice:
                 if val.denominator != 1:
                     raise InvariantViolation(
                         f"2*alpha(b) = {val} is not integral at root"
-                        f" alpha=({', '.join(map(str, al))})"
-                        f" and basis vector b=({', '.join(map(str, b))})"
+                        f" alpha={_vec_text(al)} and basis vector b={_vec_text(b)}"
                     )
                 row.append(int(val))
             table.append(tuple(row))
@@ -209,14 +213,16 @@ def validate_generic(
         for al, val in zip(system.roots, two_alpha_a):
             if val.denominator == 1:
                 val = 2 * system.pairing(al, add(q, a))
-                raise FloorBoundary(al, q, f"2*alpha(q+a) = {val} at alpha={al}, q={q}")
+                raise FloorBoundary(
+                    al, q, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(q)}"
+                )
     if mode is Mode.SMALL_IN_CHAMBER:
         for beta in system.simple_roots:
             if system.pairing(beta, a) <= 0:
-                raise NotInChamber(f"shift fails beta={beta}")
+                raise NotInChamber(f"shift fails beta={_vec_text(beta)}")
         for al, val in zip(system.roots, two_alpha_a):
             if abs(val) >= Fraction(1, 2):
-                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={al}")
+                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec_text(al)}")
     shift = GenericShift(system, lattice, a, mode, radius)
     shift._points = points
     return shift

@@ -139,6 +139,10 @@ class RestrictedRootSystem:
     under all root reflections (multiplicity preserved), spans the ambient
     space, and proportional roots only come in ratio two.  The base chamber
     is the one containing ``base_point``.
+
+    ``_closed`` skips only the closure check, for a caller that built the
+    roots as a reflection closure (``catalog.close_orbits`` reflects every
+    ordered pair and keeps each image with its multiplicity).
     """
 
     def __init__(
@@ -148,6 +152,8 @@ class RestrictedRootSystem:
         mult: Mapping[Vec, int],
         base_point: Vec,
         name: str = "",
+        *,
+        _closed: bool = False,
     ):
         self.gram: Mat = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.rank: int = len(self.gram)
@@ -157,7 +163,7 @@ class RestrictedRootSystem:
         self.name = name
         self._weyl: WeylGroup | None = None
         self._covector: dict[Vec, Vec] = {}
-        self._validate()
+        self._validate(_closed)
 
     # -- pairings ------------------------------------------------------
 
@@ -294,7 +300,7 @@ class RestrictedRootSystem:
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, closed: bool) -> None:
         n = self.rank
         if n < 1:
             raise InvariantViolation("rank must be positive")
@@ -324,13 +330,14 @@ class RestrictedRootSystem:
         # gram * alpha per root, so that alpha(v) is one dot product and a
         # reflection needs no matrix product
         self._covector = {a: mat_vec(self.gram, a) for a in self.roots}
-        for a in self.roots:
-            for b in self.roots:
-                img = self.reflect(a, b)
-                if img not in self.mult or self.mult[img] != self.mult[b]:
-                    raise InvariantViolation(
-                        f"reflection of {b} across {a} leaves the system"
-                    )
+        if not closed:
+            for a in self.roots:
+                for b in self.roots:
+                    img = self.reflect(a, b)
+                    if img not in self.mult or self.mult[img] != self.mult[b]:
+                        raise InvariantViolation(
+                            f"reflection of {b} across {a} leaves the system"
+                        )
         if any(self.pairing(a, self.base_point) == 0 for a in self.roots):
             raise InvariantViolation("base point is not regular")
 

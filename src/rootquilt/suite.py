@@ -9,12 +9,14 @@ that the table replaces stay the public oracles and are not called here.
 
 The bad/ugly sweep may be partitioned across worker processes with ``jobs``;
 tasks are enumerated in a fixed order and results merged in that order, so
-the emitted bytes never depend on the degree of parallelism.
+the emitted bytes never depend on the degree of parallelism.  The pool class
+is the module attribute ``ProcessPoolExecutor``, imported on first access
+(PEP 562), so a serial run never loads ``concurrent.futures.process``; the
+attribute stays rebindable, and ``_parallel_map`` uses whatever it holds.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -156,6 +158,15 @@ def _vec_str(v: Vec) -> str:
 # -- parallel helpers --------------------------------------------------------
 
 
+def __getattr__(name: str):
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _apply_chunk(fn, ctx, chunk):
     return [fn(ctx, t) for t in chunk]
 
@@ -166,7 +177,8 @@ def _parallel_map(fn, ctx, tasks: list, jobs: int) -> list:
     n_chunks = jobs * 4
     size = max(1, (len(tasks) + n_chunks - 1) // n_chunks)
     chunked = [tasks[i : i + size] for i in range(0, len(tasks), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    pool = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    with pool(max_workers=jobs) as ex:
         parts = list(ex.map(partial(_apply_chunk, fn, ctx), chunked))
     return [r for part in parts for r in part]
 

@@ -451,3 +451,110 @@ def test_close_orbits_reflects_each_ordered_pair_of_f4_roots_once(monkeypatch):
     monkeypatch.setattr(catalog, "reflect", counting)
     assert len(close_orbits(*SEEDED["fi-f4"])) == 48
     assert len(calls) <= 48 * 48
+
+
+# -- the schema walker against jsonschema -------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+_VALIDATOR = jsonschema.Draft202012Validator(CATALOG_SCHEMA)
+_SWAPS = [True, 1.0, 2.5, "", [], {}, 0, -1]
+
+
+def _reference_documents():
+    yield json.loads(resources.files("rootquilt").joinpath("data/catalog.json").read_text())
+    yield json.loads((REPO / "tests" / "data" / "extra_catalog.json").read_text())
+    yield json.loads((REPO / "bench" / "data" / "f4.json").read_text())
+
+
+@pytest.mark.parametrize("doc", [*_reference_documents(), *_invalid_documents()])
+def test_conforms_agrees_with_jsonschema(doc):
+    assert catalog._conforms(doc, CATALOG_SCHEMA) == _VALIDATOR.is_valid(doc)
+
+
+def _paths(node, prefix=()):
+    """Every place in a JSON document, as the keys and indices leading to it."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, (*prefix, key))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_conforms_agrees_with_jsonschema_on_mutations(data):
+    # the extra catalog sets every optional key, so each subschema is reachable
+    doc = json.loads((REPO / "tests" / "data" / "extra_catalog.json").read_text())
+    doc["entries"] = doc["entries"][:2]
+    for _ in range(data.draw(st.integers(1, 3))):
+        places = [p for p in _paths(doc) if p]
+        if not places:  # every key deleted
+            break
+        path = data.draw(st.sampled_from(places))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(_SWAPS))
+    assert catalog._conforms(doc, CATALOG_SCHEMA) == _VALIDATOR.is_valid(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, schema, valid",
+    [
+        (True, {"type": "integer"}, False),
+        (1.0, {"type": "integer"}, True),
+        (True, {"type": "number"}, False),
+        (True, {"const": 1}, False),
+        (1, {"enum": [True]}, False),
+        (1.0, {"const": 1}, True),
+        ([1], {"const": [True]}, False),
+        ({"a": 1}, {"const": {"a": 1.0}}, True),
+        (False, {"minimum": 1}, True),
+        ("", {"minItems": 1, "minLength": 1}, False),
+    ],
+)
+def test_conforms_follows_json_types(doc, schema, valid):
+    assert catalog._conforms(doc, schema) is valid
+    assert jsonschema.Draft202012Validator(schema).is_valid(doc) is valid
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"maxItems": 1},
+        {"type": "object", "additionalProperties": False},
+        {"properties": {"a": {"pattern": "x"}}},
+    ],
+)
+def test_conforms_rejects_unknown_keywords(schema):
+    with pytest.raises(ValueError, match="not supported"):
+        catalog._conforms({"a": "b"}, schema)
+
+
+# -- one closure proof per load -----------------------------------------------
+
+
+def test_get_entry_reflects_each_ordered_pair_of_f4_roots_once(monkeypatch):
+    from rootquilt import roots
+
+    calls = {"catalog": 0, "roots": 0}
+
+    def counting(module):
+        original = module.reflect
+
+        def wrapper(*args):
+            calls[module.__name__.rsplit(".", 1)[1]] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(catalog, "reflect", counting(catalog))
+    monkeypatch.setattr(roots, "reflect", counting(roots))
+    entry = get_entry("fi-f4", str(REPO / "bench" / "data" / "f4.json"))
+    assert len(entry.system.roots) == 48
+    assert calls["catalog"] == 48 * 48  # close_orbits: the one closure proof
+    # the system's own reflections build only the simple generators' root
+    # permutations; the closure is not checked a second time
+    assert calls["roots"] == 4 * 48

@@ -293,6 +293,10 @@ def test_two_alpha_matches_the_pairing(name):
 # -- the window scans the roots-only checks replace, kept verbatim as oracles --
 
 
+def _vec(v):
+    return "(" + ", ".join(str(x) for x in v) + ")"
+
+
 def _window_validate_generic(system, lattice, a, mode, radius, points=None):
     a = vec(a)
     radius = F(radius)
@@ -305,14 +309,14 @@ def _window_validate_generic(system, lattice, a, mode, radius, points=None):
         for al in system.roots:
             val = 2 * system.pairing(al, qa)
             if val.denominator == 1:
-                raise FloorBoundary(al, q, f"2*alpha(q+a) = {val} at alpha={al}, q={q}")
+                raise FloorBoundary(al, q, f"2*alpha(q+a) = {val} at alpha={_vec(al)}, q={_vec(q)}")
     if mode is Mode.SMALL_IN_CHAMBER:
         for beta in system.simple_roots:
             if system.pairing(beta, a) <= 0:
-                raise NotInChamber(f"shift fails beta={beta}")
+                raise NotInChamber(f"shift fails beta={_vec(beta)}")
         for al in system.roots:
             if abs(2 * system.pairing(al, a)) >= F(1, 2):
-                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={al}")
+                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec(al)}")
     shift = GenericShift(system, lattice, a, mode, radius)
     shift._points = points
     return shift

@@ -58,6 +58,13 @@ def test_reflect_unknown_root(group_a1):
         group_a1.system.reflect((F(3),), (F(1),))
 
 
+def test_constructor_still_checks_closure():
+    # the simple roots of A2 alone: s_(1,0) sends (0,1) to (1,1), which is missing
+    roots = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))]
+    with pytest.raises(InvariantViolation, match=r"reflection of .* across .* leaves the system"):
+        RestrictedRootSystem(A2_GRAM, roots, {r: 1 for r in roots}, (F(1), F(1)))
+
+
 def test_weyl_order_a1(group_a1):
     assert group_a1.system.weyl_group().order == 2
 

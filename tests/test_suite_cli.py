@@ -359,3 +359,80 @@ def test_cli_indefinite_gram_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: entry 'indefinite': gram matrix is not positive definite\n"
+
+
+# -- numeric options ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--quad-nodes", "0"), ("--quad-nodes", "8"), ("--quad-nodes", "15"),
+     ("--quad-nodes", "x"), ("--jobs", "0"), ("--jobs", "-3"), ("--jobs", "2.5")],
+)
+def test_cli_rejects_out_of_range_counts(option, value, capsys):
+    argv = ["verify", "--pair", "group-a1", "--radius", "1", "--triangle", "0:e", option, value]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err and f"argument {option}: " in err
+    assert "Traceback" not in err
+
+
+def test_cli_accepts_the_smallest_counts(capsys):
+    argv = ["verify", "--pair", "group-a1", "--radius", "1", "--triangle", "0:e"]
+    assert main([*argv, "--quad-nodes", "16", "--jobs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
+# -- shift validation messages ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pair, epsilon, message",
+    [
+        ("group-a1", "1/2", "2*alpha(q+a) = -4 at alpha=(-1), q=(0)"),
+        ("group-a2", "1/3", "|2*alpha(a)| >= 1/2 at alpha=(-1, -1)"),
+        ("group-a1", "-1/3", "shift fails beta=(1)"),
+    ],
+)
+def test_cli_shift_errors_print_exact_vectors(pair, epsilon, message, capsys):
+    assert main(["verify", "--pair", pair, "--radius", "1", f"--epsilon={epsilon}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: check generic_shift aborted: {message}\n"
+
+
+# -- the import path ----------------------------------------------------------
+
+
+def test_serial_verify_loads_neither_jsonschema_nor_the_pool():
+    script = (
+        "import sys\n"
+        "import rootquilt\n"
+        "from rootquilt import cli\n"
+        "code = cli.main(['verify', '--pair', 'group-a1', '--radius', '1'])\n"
+        "heavy = ('jsonschema', 'concurrent.futures.process')\n"
+        "print(sorted(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, cwd=REPO, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode() == "[]\n"
+
+
+def test_pool_class_is_read_through_the_rebindable_module_attribute(monkeypatch, group_a2):
+    made = []
+
+    class CountingPool(suite.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", CountingPool)
+    pooled = emit(run_suite(group_a2, radius=F(3), jobs=2))
+    assert made == [2]
+    assert pooled == emit(run_suite(group_a2, radius=F(3), jobs=1))
