@@ -17,7 +17,7 @@ from .catalog import get_entry, load_catalog
 from .errors import RootQuiltError
 from .indices import QuiltDatum, classify, index_table, monotone_data, quilt_index
 from .lattice import Mode
-from .linalg import format_rational, parse_rational
+from .linalg import format_rational, format_vec, parse_rational
 from .ring import Generator, star_unit_sector, triangularity_certificate
 from .suite import Report, build_shift, emit, run_suite
 from .triangle import boundary_deviation, solve_triangle, symmetry_residual, verify_hull
@@ -155,12 +155,7 @@ def _entry(args):
 
 
 def cmd_info(args) -> int:
-    entries = load_catalog(args.catalog)
-    if args.pair is not None:
-        entries = [e for e in entries if e.name == args.pair]
-        if not entries:
-            print(f"no entry named {args.pair!r}", file=sys.stderr)
-            return 2
+    entries = load_catalog(args.catalog) if args.pair is None else [_entry(args)]
     for e in entries:
         group = e.system.weyl_group()
         mults = sorted(set(e.system.mult.values()))
@@ -228,7 +223,7 @@ def cmd_filtration(args) -> int:
     for w, fil in zip(group, table.filtration):
         report.add_row("filtration", w.name, fil)
     for q, iw in zip(shift.window_points(), table.chambers):
-        report.add_row("leading", ",".join(format_rational(x) for x in q), group.elements[iw].name)
+        report.add_row("leading", format_vec(q), group.elements[iw].name)
     report.add_check("filtration", True, f"{group.order} weights")
     _write(report, args.format)
     return 0
@@ -258,8 +253,8 @@ def cmd_certify(args) -> int:
     for row in cert.rows:
         report.add_row(
             "triangularity",
-            f"{row.w.name};{','.join(format_rational(x) for x in row.q)}",
-            f"witness={','.join(format_rational(x) for x in row.witness)}",
+            f"{row.w.name};{format_vec(row.q)}",
+            f"witness={format_vec(row.witness)}",
         )
     if cert.complete:
         report.add_check("triangularity", True, f"{len(cert.rows)} rows")
@@ -323,8 +318,24 @@ _COMMANDS = {
 }
 
 
+_RATIONAL_OPTIONS = ("--tau", "--epsilon", "--radius")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative value to its option, ``--epsilon -1/3`` -> ``--epsilon=-1/3``,
+    since argparse reads -1/3 as a flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return _COMMANDS[args.command](args)
     except RootQuiltError as exc:

@@ -2,14 +2,18 @@
 
 The lattice is supplied as basis data per catalog entry.  Window
 enumeration uses the Gram norm, so windows are Weyl invariant and the
-symmetry properties are exactly testable.  A generic shift is a rational
-vector certified to avoid every wall and every floor boundary inside a
-stated window.
+symmetry properties are exactly testable; it sweeps a box of basis
+coordinates in integers, against the norm matrix scaled once to integers.
+A generic shift is a rational vector certified to avoid every wall and
+every floor boundary inside a stated window.  Because 2*alpha(q) is an
+integer at every lattice point q, the certificate reads the roots alone,
+and a shift enumerates its window lazily, on first use.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,10 +28,11 @@ from .errors import (
     NotRegular,
     NotSmall,
 )
-from .linalg import Mat, Vec, add, gram_pair, inverse, is_integral, mat_mul, mat_vec, scale, transpose, vec
+from .linalg import Mat, Vec, add, format_vec, inverse, is_integral, mat_mul, mat_vec, scale, transpose, vec, zero_vec
 from .roots import RestrictedRootSystem, WeylElement
 
 DEFAULT_POINT_CAP = 500_000
+MAX_DENOMINATOR_INDEX = 10_000
 
 
 def _vec_text(v: Vec) -> str:
@@ -56,8 +61,11 @@ class Lattice:
         except ValueError:
             raise InvariantViolation("lattice basis is not linearly independent") from None
         bt = self.basis  # rows are basis vectors
-        self._norm_matrix: Mat = mat_mul(bt, mat_mul(system.gram, transpose(bt)))
-        self._inv_norm: Mat = inverse(self._norm_matrix)
+        norm_matrix = mat_mul(bt, mat_mul(system.gram, transpose(bt)))
+        self._inv_norm: Mat = inverse(norm_matrix)
+        # the norm matrix scaled once to integers, for the window sweep
+        self._norm_scale = math.lcm(*(x.denominator for row in norm_matrix for x in row))
+        self._int_norm = tuple(tuple(int(x * self._norm_scale) for x in row) for row in norm_matrix)
         # two_alpha_basis[i][j] = 2*alpha_i(b_j), alpha_i in system.roots order
         table = []
         for al in system.roots:
@@ -105,35 +113,23 @@ class Lattice:
         """All lattice points with Gram norm at most radius.
 
         Ordered by (norm squared, basis coordinates), so smaller windows are
-        prefixes of larger ones and the order is reproducible.
+        prefixes of larger ones and the order is reproducible.  The box of
+        basis coordinates is swept in integers: with the norm matrix scaled
+        to integers by D, a point is kept exactly when q2*D <= floor(r2*D).
         """
         radius = Fraction(radius)
         if radius < 0:
             raise ValueError("radius must be non-negative")
         r2 = radius * radius
-        n = self.system.rank
-        bounds = []
-        for i in range(n):
-            b2 = r2 * self._inv_norm[i][i]
-            bounds.append(math.isqrt(math.floor(b2)))
-        found: list[tuple[Fraction, tuple[int, ...]]] = []
-        coords = [0] * n
-
-        def sweep(i: int) -> None:
-            if i == n:
-                c = vec(coords)
-                q2 = gram_pair(self._norm_matrix, c, c)
-                if q2 <= r2:
-                    found.append((q2, tuple(coords)))
-                    if len(found) > cap:
-                        raise BudgetExceeded(f"window holds more than {cap} lattice points")
-                return
-            for k in range(-bounds[i], bounds[i] + 1):
-                coords[i] = k
-                sweep(i + 1)
-            coords[i] = 0
-
-        sweep(0)
+        limit = math.floor(r2 * self._norm_scale)
+        bounds = [math.isqrt(math.floor(r2 * self._inv_norm[i][i])) for i in range(self.system.rank)]
+        found: list[tuple[int, tuple[int, ...]]] = []
+        for c in itertools.product(*(range(-b, b + 1) for b in bounds)):
+            q2 = sum(x * sum(n * y for n, y in zip(row, c)) for x, row in zip(c, self._int_norm))
+            if q2 <= limit:
+                found.append((q2, c))
+                if len(found) > cap:
+                    raise BudgetExceeded(f"window holds more than {cap} lattice points")
         found.sort()
         return [self.from_coords(c) for _, c in found]
 
@@ -177,9 +173,6 @@ def validate_generic(
     a: Vec,
     mode: Mode = Mode.SMALL_IN_CHAMBER,
     radius: Fraction = Fraction(0),
-    cap: int = DEFAULT_POINT_CAP,
-    *,
-    _points: list[Vec] | None = None,
 ) -> GenericShift:
     """Exact finite certification of a shift over roots x window points.
 
@@ -191,31 +184,28 @@ def validate_generic(
     Since 2*alpha(q) is an integer at every lattice point, 2*alpha(q + a) is
     an integer exactly when 2*alpha(a) is, so the floor boundaries are found
     over the roots alone and reported at the first window point (the origin),
-    as a scan of the whole window would report them.
+    as a scan of the whole window would report them.  The window itself is
+    enumerated on the first call of ``window_points``.
 
     The strict 1/2 matters: the filtration difference between a chamber
     element and the identity is a sum of terms m_alpha (1 - 4 alpha(a)) over
     flipped roots, so 1/2 is exactly the threshold below which the identity
     is the unique filtration minimum.
-
-    ``_points`` passes in the window of ``lattice`` at ``radius`` when the
-    caller has already enumerated it.
     """
     a = vec(a)
     radius = Fraction(radius)
     walls = [al for al in system.roots if system.pairing(al, a) == 0]
     if walls:
         raise NotRegular(walls)
-    points = lattice.points(radius, cap=cap) if _points is None else _points
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     two_alpha_a = [2 * system.pairing(al, a) for al in system.roots]
-    if points:
-        q = points[0]
-        for al, val in zip(system.roots, two_alpha_a):
-            if val.denominator == 1:
-                val = 2 * system.pairing(al, add(q, a))
-                raise FloorBoundary(
-                    al, q, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(q)}"
-                )
+    origin = zero_vec(system.rank)
+    for al, val in zip(system.roots, two_alpha_a):
+        if val.denominator == 1:
+            raise FloorBoundary(
+                al, origin, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(origin)}"
+            )
     if mode is Mode.SMALL_IN_CHAMBER:
         for beta in system.simple_roots:
             if system.pairing(beta, a) <= 0:
@@ -223,9 +213,7 @@ def validate_generic(
         for al, val in zip(system.roots, two_alpha_a):
             if abs(val) >= Fraction(1, 2):
                 raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec_text(al)}")
-    shift = GenericShift(system, lattice, a, mode, radius)
-    shift._points = points
-    return shift
+    return GenericShift(system, lattice, a, mode, radius)
 
 
 def weighted_root_sum(system: RestrictedRootSystem) -> Vec:
@@ -241,27 +229,27 @@ def canonical_shift(
     lattice: Lattice,
     mode: Mode = Mode.SMALL_IN_CHAMBER,
     radius: Fraction = Fraction(0),
-    max_denominator_index: int = 10_000,
 ) -> GenericShift:
     """The reproducible default shift epsilon * rho-dual.
 
-    Scans epsilon = 1/3, 1/5, 1/7, ... and returns the first scaling of the
-    weighted root sum that passes validation at the requested radius.
+    Scans epsilon = 1/3, 1/5, 1/7, ..., 1/(2*MAX_DENOMINATOR_INDEX + 1) and
+    returns the first scaling of the weighted root sum that passes
+    validation at the requested radius.
 
     Every check of ``validate_generic`` is read off the values at rho, since
     alpha(epsilon * rho) = epsilon * alpha(rho): the sign conditions do not
     depend on epsilon, and a candidate fails on a floor boundary or on
     smallness exactly when some epsilon * 2*alpha(rho) is an integer or at
-    least 1/2 in size.  Only the first candidate passing these is validated.
+    least 1/2 in size.  So the first candidate passing these is valid, and
+    only it is validated.
     """
     rho = weighted_root_sum(system)
-    points = lattice.points(Fraction(radius))
     two_alpha_rho = [2 * system.pairing(al, rho) for al in system.roots]
     small = mode is Mode.SMALL_IN_CHAMBER
     signs_ok = all(v != 0 for v in two_alpha_rho) and not (
         small and any(system.pairing(beta, rho) <= 0 for beta in system.simple_roots)
     )
-    candidates = range(1, max_denominator_index + 1) if signs_ok else ()
+    candidates = range(1, MAX_DENOMINATOR_INDEX + 1) if signs_ok else ()
     for d in candidates:
         eps = Fraction(1, 2 * d + 1)
         values = [eps * v for v in two_alpha_rho]
@@ -269,10 +257,7 @@ def canonical_shift(
             continue
         if small and any(abs(v) >= Fraction(1, 2) for v in values):
             continue
-        try:
-            return validate_generic(system, lattice, scale(eps, rho), mode, radius, _points=points)
-        except (NotRegular, FloorBoundary, NotInChamber, NotSmall):
-            continue
+        return validate_generic(system, lattice, scale(eps, rho), mode, radius)
     raise InvariantViolation("no canonical shift found; data is degenerate")
 
 
@@ -284,7 +269,7 @@ class Generator:
     q: Vec
 
     def label(self) -> str:
-        return f"y[{self.w.name};{','.join(str(x) for x in self.q)}]"
+        return f"y[{self.w.name};{format_vec(self.q)}]"
 
 
 @dataclass(frozen=True)

@@ -183,3 +183,8 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def format_vec(v: Vec) -> str:
+    """An exact vector as comma-separated entries, e.g. 1,-1/2."""
+    return ",".join(map(str, v))

@@ -1,12 +1,16 @@
 """Lattice windows, shift validation, chord and generator enumeration."""
 
+import functools
+import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootquilt import (
+    BudgetExceeded,
     FloorBoundary,
     InvariantViolation,
     Lattice,
@@ -22,8 +26,8 @@ from rootquilt import (
     validate_generic,
     weyl_action,
 )
-from rootquilt.lattice import GenericShift, weighted_root_sum
-from rootquilt.linalg import add, scale, vec
+from rootquilt.lattice import DEFAULT_POINT_CAP, GenericShift, weighted_root_sum
+from rootquilt.linalg import add, gram_pair, inverse, mat_mul, scale, transpose, vec
 
 PAIRS = ("group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2")
 
@@ -371,3 +375,107 @@ def test_canonical_shift_matches_the_window_scan(name):
             want = _window_canonical_shift(entry.system, entry.lattice, mode, F(r))
             assert got.a == want.a, (mode, r)
             assert got.window_points() == want.window_points()
+
+
+# -- the Fraction box sweep the integer window sweep replaces, kept verbatim --
+
+EXTRA_CATALOG = str(Path(__file__).resolve().parent / "data" / "extra_catalog.json")
+EXTRA_PAIRS = ("spin5-b2", "split-g2", "su4-a3", "cp3-bc1")
+
+
+def _fraction_points(lattice, radius, cap=DEFAULT_POINT_CAP):
+    """The per-point ``Fraction`` sweep of the box, with the norm matrix
+    rebuilt from the public basis."""
+    bt = lattice.basis
+    norm_matrix = mat_mul(bt, mat_mul(lattice.system.gram, transpose(bt)))
+    inv_norm = inverse(norm_matrix)
+    radius = F(radius)
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    r2 = radius * radius
+    n = lattice.system.rank
+    bounds = []
+    for i in range(n):
+        b2 = r2 * inv_norm[i][i]
+        bounds.append(math.isqrt(math.floor(b2)))
+    found = []
+    coords = [0] * n
+
+    def sweep(i):
+        if i == n:
+            c = vec(coords)
+            q2 = gram_pair(norm_matrix, c, c)
+            if q2 <= r2:
+                found.append((q2, tuple(coords)))
+                if len(found) > cap:
+                    raise BudgetExceeded(f"window holds more than {cap} lattice points")
+            return
+        for k in range(-bounds[i], bounds[i] + 1):
+            coords[i] = k
+            sweep(i + 1)
+        coords[i] = 0
+
+    sweep(0)
+    found.sort()
+    return [lattice.from_coords(c) for _, c in found]
+
+
+@functools.cache
+def _all_entries():
+    return tuple(get_entry(n) for n in PAIRS) + tuple(get_entry(n, EXTRA_CATALOG) for n in EXTRA_PAIRS)
+
+
+@pytest.mark.parametrize("entry", _all_entries(), ids=PAIRS + EXTRA_PAIRS)
+def test_points_match_the_fraction_sweep(entry):
+    for r in range(7):
+        assert entry.lattice.points(F(r)) == _fraction_points(entry.lattice, F(r)), r
+
+
+@settings(max_examples=80, deadline=None)
+@example(index=3, radius=F(5, 2))
+@example(index=1, radius=F(7, 3))
+@example(index=7, radius=F(7, 3))
+@given(
+    index=st.integers(0, len(PAIRS + EXTRA_PAIRS) - 1),
+    radius=st.fractions(0, 5, max_denominator=9),
+)
+def test_points_match_the_fraction_sweep_at_fractional_radii(index, radius):
+    lattice = _all_entries()[index].lattice
+    assert lattice.points(radius) == _fraction_points(lattice, radius)
+
+
+def test_points_match_the_fraction_sweep_on_f4(f4_lattice):
+    for r in (F(0), F(1), F(3, 2), F(2), F(5, 2), F(3)):
+        assert f4_lattice.points(r) == _fraction_points(f4_lattice, r), r
+
+
+def test_points_budget_matches_the_fraction_sweep(group_a2):
+    for cap in (0, 3, 18):
+        with pytest.raises(BudgetExceeded) as got:
+            group_a2.lattice.points(F(4), cap=cap)
+        with pytest.raises(BudgetExceeded) as want:
+            _fraction_points(group_a2.lattice, F(4), cap=cap)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        group_a2.lattice.points(F(-1, 2))
+
+
+# -- certification reads the roots alone --------------------------------------
+
+
+def _no_window(self, radius, cap=DEFAULT_POINT_CAP):
+    raise AssertionError("the window was enumerated")
+
+
+def test_certification_enumerates_no_window(catalog, monkeypatch):
+    monkeypatch.setattr(Lattice, "points", _no_window)
+    for entry in catalog:
+        for mode in Mode:
+            shift = canonical_shift(entry.system, entry.lattice, mode, F(400_000))
+            assert validate_generic(entry.system, entry.lattice, shift.a, mode, F(400_000)) == shift
+    group_a1 = get_entry("group-a1")
+    for a in ((F(0),), (F(1, 4),), (F(-1, 20),), (F(1, 3),)):
+        with pytest.raises((NotRegular, FloorBoundary, NotInChamber, NotSmall)):
+            validate_generic(group_a1.system, group_a1.lattice, a, Mode.SMALL_IN_CHAMBER, F(3))
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), radius=F(-1, 2))

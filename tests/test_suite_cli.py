@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from rootquilt import get_entry, suite
+from rootquilt import Lattice, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
 from rootquilt.cli import main
+from rootquilt.lattice import DEFAULT_POINT_CAP
 from rootquilt.suite import (
     Report,
     _add_bad_ugly_sweep,
@@ -75,10 +76,10 @@ def test_suite_jobs_do_not_change_bytes(group_a1):
 
 def _synthetic_sweep(group_a1, filtrations):
     W = group_a1.system.weyl_group()
-    gens = [(q, w) for q in ((F(0),), (F(1),)) for w in W]
-    rows = [(0, F(len(gens) - i), fil) for i, fil in enumerate(filtrations)]
+    points = [(F(0),), (F(1),)]
+    rows = [(0, F(len(points) * W.order - i), fil) for i, fil in enumerate(filtrations)]
     report = Report("synthetic", "verify", {})
-    _add_implication_sweep(report, rows, gens)
+    _add_implication_sweep(report, rows, points, W.elements)
     return report
 
 
@@ -316,6 +317,9 @@ def test_bad_count_is_one_sector_per_chord():
           "--q-out", "1"], "invalid --epsilon 'e'"),
         (["verify", "--pair", "group-a1", "--tau", "0"], "--tau must be positive"),
         (["verify", "--pair", "group-a1", "--tau=-1/8"], "--tau must be positive"),
+        (["verify", "--pair", "group-a1", "--tau", "-1/8"], "--tau must be positive"),
+        (["verify", "--pair", "group-a1", "--radius", "-1/2"], "--radius must be non-negative"),
+        (["info", "--pair", "nope"], "no catalog entry named 'nope'"),
     ],
 )
 def test_cli_rejects_invalid_parameters(argv, message, capsys):
@@ -397,10 +401,41 @@ def test_cli_accepts_the_smallest_counts(capsys):
     ],
 )
 def test_cli_shift_errors_print_exact_vectors(pair, epsilon, message, capsys):
-    assert main(["verify", "--pair", pair, "--radius", "1", f"--epsilon={epsilon}"]) == 2
+    for form in ([f"--epsilon={epsilon}"], ["--epsilon", epsilon]):
+        assert main(["verify", "--pair", pair, "--radius", "1", *form]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: check generic_shift aborted: {message}\n"
+
+
+# -- the window ---------------------------------------------------------------
+
+
+def test_verify_enumerates_each_window_once(monkeypatch, capsys):
+    calls = []
+    points = Lattice.points
+
+    def counting(self, radius, cap=DEFAULT_POINT_CAP):
+        calls.append(radius)
+        return points(self, radius, cap)
+
+    monkeypatch.setattr(Lattice, "points", counting)
+    for pair in ("group-a1", "ai-a2"):
+        for epsilon in ([], ["--epsilon", "1/101"]):
+            calls.clear()
+            assert main(["verify", "--pair", pair, "--radius", "2", *epsilon]) == 0
+            assert calls == [F(2)]
+    capsys.readouterr()
+
+
+def test_verify_past_the_point_cap_aborts_in_the_shift_check(capsys):
+    assert main(["verify", "--pair", "group-a1", "--radius", "400000"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: check generic_shift aborted: {message}\n"
+    assert err == (
+        "error: check generic_shift aborted:"
+        f" window holds more than {DEFAULT_POINT_CAP} lattice points\n"
+    )
 
 
 # -- the import path ----------------------------------------------------------
