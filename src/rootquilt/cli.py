@@ -321,12 +321,37 @@ _COMMANDS = {
 _RATIONAL_OPTIONS = ("--tau", "--epsilon", "--radius")
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """Join a negative value to its option, ``--epsilon -1/3`` -> ``--epsilon=-1/3``,
-    since argparse reads -1/3 as a flag."""
+def _long_options(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """The long options of the subcommand that ``argv`` chooses, if any."""
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
+            chosen = action.choices[command]
+            return [s for a in chosen._actions for s in a.option_strings if s.startswith("--")]
+    return []
+
+
+def _resolve(token: str, options: list[str]) -> str | None:
+    """The option a ``--x`` token names, as argparse resolves it: the option
+    itself, or the one option it is a prefix of.  None when there is none or
+    the prefix is ambiguous, which argparse then reports."""
+    if token in options:
+        return token
+    if len(token) <= 2 or not token.startswith("--") or "=" in token:
+        return None
+    matches = [o for o in options if o.startswith(token)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _join_negative_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Join a negative value to its rational option, ``--epsilon -1/3`` ->
+    ``--epsilon=-1/3``, since argparse reads -1/3 as a flag.  The option may
+    be abbreviated as argparse allows (``--rad -1/2``)."""
+    options = _long_options(parser, argv)
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+        negative = tok[:1] == "-" and tok[1:2].isdigit()
+        if out and negative and _resolve(out[-1], options) in _RATIONAL_OPTIONS:
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -335,7 +360,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
+    parser = build_parser()
+    args = parser.parse_args(_join_negative_values(argv, parser))
     try:
         return _COMMANDS[args.command](args)
     except RootQuiltError as exc:

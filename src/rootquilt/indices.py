@@ -14,7 +14,9 @@ The per-datum functions evaluate each quantity directly in exact rational
 arithmetic.  ``IndexTable`` holds the same quantities over a whole window,
 built once per shift, as integers apart from the |W| filtration weights; the
 suite's sweeps and the ring certificates read the table, and the per-datum
-functions remain its oracles.
+functions remain its oracles.  The table also certifies the action identity
+by linearity, which decides the implication and area sweeps without a
+per-generator action.
 """
 
 from __future__ import annotations
@@ -187,7 +189,9 @@ def zero_index_implication(
 
     Returns True when the implication holds for the pair of data; a False
     would expose an inconsistency between the floor sums, the fractional
-    sums, and the monotone pairing.
+    sums, and the monotone pairing.  ``verify`` never calls it: it checks
+    every pair at once through ``IndexTable.certify_implication``, and this
+    per-pair form stays the oracle of that certificate.
     """
     system = shift.system
     q_in, w_in = d_in
@@ -217,6 +221,10 @@ def implication_violations(rows: Sequence[ImplicationRow]) -> tuple[int, tuple[i
     Pairs of different degree hold trivially, so only pairs inside one
     degree group are compared.  Returns the violation count and the first
     violating pair in lexicographic order of (i, j), or None.
+
+    Quadratic in the rows.  ``verify`` runs it only when
+    ``IndexTable.certify_implication`` fails, since the certificate proves
+    the count is 0; it is also the certificate's oracle.
     """
     groups: dict[int, list[int]] = {}
     for i, (degree, _, _) in enumerate(rows):
@@ -236,7 +244,10 @@ def implication_violations(rows: Sequence[ImplicationRow]) -> tuple[int, tuple[i
 
 
 def capping_maslov(system: RestrictedRootSystem, q: Vec) -> int:
-    """Maslov index of the capping class q: minus twice the weighted sum."""
+    """Maslov index of the capping class q: minus twice the weighted sum.
+
+    The oracle of ``IndexTable.maslov``, which ``verify`` reads instead.
+    """
     total = -2 * sum(
         (system.mult[al] * system.pairing(al, q) for al in system.positive_roots),
         Fraction(0),
@@ -247,7 +258,12 @@ def capping_maslov(system: RestrictedRootSystem, q: Vec) -> int:
 
 
 def capping_area(q: Vec, md: MonotoneData) -> Fraction:
-    """Symplectic area of the capping class q; equals tau times the Maslov index."""
+    """Symplectic area of the capping class q; equals tau times the Maslov index.
+
+    Computed as a Fraction pairing and checked against ``capping_maslov``.
+    The oracle of ``IndexTable.certify_area``: ``verify`` reads
+    tau * ``IndexTable.maslov`` instead.
+    """
     area = -gram_pair(md.system.gram, q, md.x0)
     if area != md.tau * capping_maslov(md.system, q):
         raise InvariantViolation("area-index proportionality failed")
@@ -353,6 +369,14 @@ class IndexTable:
     The filtration weight fil(w), the sum over R+(w) of m_alpha
     frac(2*alpha(a)), is kept as one rational per chamber element.
 
+    The action of a generator is linear too.  Pairing with w x0 is tau times
+    the sum over R+(w) of m_alpha 2*alpha(-), by the W-invariance of the Gram
+    form and of the multiplicities, so the action <q + a, w x0> equals
+    tau * (deg(w, q) + fil(w)).  ``certify_implication`` and ``certify_area``
+    check this identity on the lattice basis and at a, with rank + 1
+    pairings per chamber element, and ``maslov`` holds the capping Maslov
+    index of every window point as an integer.
+
     The window is a Gram ball in a W-stable lattice, so each w permutes it.
     Since 2 alpha(w q) = 2 (w^-1 alpha)(q), the row of w(q) is the row of q
     read through the root permutation of w^-1, and the rows determine the
@@ -372,6 +396,9 @@ class IndexTable:
         for al, t in zip(roots, two_alpha_a):
             if t.denominator == 1:
                 raise FloorBoundary(al, shift.a)
+        self._gram = system.gram
+        self._lattice = shift.lattice
+        self._a = shift.a
         self.dim_lambda = system.dim_lambda()
         self.small = shift.mode is Mode.SMALL_IN_CHAMBER
         self.mult: tuple[int, ...] = tuple(system.mult[al] for al in roots)
@@ -413,6 +440,57 @@ class IndexTable:
             except KeyError:
                 raise InvariantViolation(f"{w.name} moves a window point off the window") from None
         return out
+
+    @cached_property
+    def maslov(self) -> list[int]:
+        """``capping_maslov`` of every window point: minus the sum over R+ of
+        m_alpha 2*alpha(q).  The identity comes first in group order, so R+ is
+        ``positive[0]``."""
+        base = self.positive[0]
+        return [-sum(self.mult[i] * row[i] for i in base) for row in self.two_alpha_q]
+
+    def _pairs_on_basis(self, x: Vec, pos: Sequence[int], tau: Fraction) -> bool:
+        """Whether <b, x> = tau * sum over pos of m_alpha 2*alpha(b) at every
+        lattice basis vector b; both sides are linear in b, so then at every
+        lattice point."""
+        two_alpha_b = self._lattice.two_alpha_basis
+        return all(
+            gram_pair(self._gram, b, x) == tau * sum(self.mult[i] * two_alpha_b[i][j] for i in pos)
+            for j, b in enumerate(self._lattice.basis)
+        )
+
+    def certify_implication(self, x0_images: Sequence[Vec], tau: Fraction) -> bool:
+        """Whether no pair of generators can violate ``zero_index_implication``.
+
+        ``x0_images[k]`` is w_k(x0).  Checks, for every chamber element, the
+        action identity <q + a, w_k x0> = tau * (deg(w_k, q) + fil(w_k)) on
+        the lattice basis and at a: both sides are affine in the integer
+        basis coordinates of q, since deg(w_k, q) is the sum over R+(w_k) of
+        m_alpha (2*alpha(q) + floor(2*alpha(a))), so these |W| * (rank + 1)
+        pairings prove it at every generator.  With tau > 0, equal degrees
+        and a strict action drop then force a strict filtration drop, so
+        ``implication_violations`` of the generators' rows is (0, None).
+        False means only that the certificate failed; the rows must then be
+        compared pair by pair.
+        """
+        if tau <= 0:
+            return False
+        for pos, x, fil in zip(self.positive, x0_images, self.filtration, strict=True):
+            if not self._pairs_on_basis(x, pos, tau):
+                return False
+            floor_sum = sum(self.mult[i] * self.floor_a[i] for i in pos)
+            if gram_pair(self._gram, self._a, x) != tau * (floor_sum + fil):
+                return False
+        return True
+
+    def certify_area(self, x0: Vec, tau: Fraction) -> bool:
+        """Whether ``capping_area`` equals tau * ``maslov`` at every window point.
+
+        Checks -<b, x0> = tau * mu(b) on the lattice basis, which proves it
+        everywhere by linearity.  mu(-q) = -mu(q) needs no check: ``maslov``
+        is linear in the integers 2*alpha(q).
+        """
+        return self._pairs_on_basis(x0, self.positive[0], tau)
 
     def ugly_index(self, iq: int, iw: int) -> int:
         """``ugly_index`` of window point iq against chamber element iw."""

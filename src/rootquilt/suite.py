@@ -2,10 +2,13 @@
 the outcome as a deterministic report.
 
 The per-datum sweeps read the shift's index table (``indices.index_table``),
-built once per run: the bad/ugly sweep, the filtration table, the degree and
-filtration columns of the implication sweep, the parity and Poincare
-censuses, and the ring certificates.  The Fraction functions of ``indices``
-that the table replaces stay the public oracles and are not called here.
+built once per run: the bad/ugly sweep, the filtration table, the parity and
+Poincare censuses, and the ring certificates.  The implication and area
+sweeps are certified on the table by linearity, with a few pairings per
+chamber element; only when the implication certificate fails are actions
+compared pair by pair (``implication_violations``).  The other Fraction
+functions of ``indices`` that the table replaces stay the public oracles
+and are not called here.
 
 The bad/ugly sweep may be partitioned across worker processes with ``jobs``;
 tasks are enumerated in a fixed order and results merged in that order, so
@@ -23,13 +26,12 @@ from functools import partial
 import json
 
 from .catalog import CatalogEntry
-from .errors import RootQuiltError
+from .errors import InvariantViolation, RootQuiltError
 from .indices import (
     ImplicationRow,
     IndexTable,
+    MonotoneData,
     QuiltClass,
-    capping_area,
-    capping_maslov,
     implication_violations,
     index_table,
     monotone_data,
@@ -229,6 +231,50 @@ def _add_implication_sweep(
     report.add_check("implication_sweep", violations == 0, detail)
 
 
+def _add_implication_check(
+    report: Report,
+    table: IndexTable,
+    shift: GenericShift,
+    points: list[Vec],
+    elements: tuple[WeylElement, ...],
+    x0_images: list[Vec],
+    tau: Fraction,
+) -> None:
+    """The implication sweep, read off ``IndexTable.certify_implication``.
+
+    When the certificate holds, every pair holds and no action is computed;
+    otherwise one (degree, action, filtration) row is built per generator
+    and the pairs are compared one by one, which names the first violating
+    pair.
+    """
+    if not table.certify_implication(x0_images, tau):
+        rows = [
+            (table.degrees[iq][iw], gram_pair(shift.system.gram, add(q, shift.a), x), fil)
+            for iq, q in enumerate(points)
+            for iw, (x, fil) in enumerate(zip(x0_images, table.filtration))
+        ]
+        _add_implication_sweep(report, rows, points, elements)
+        return
+    checked = (len(points) * len(elements)) ** 2
+    report.add_row("implication", "checked", checked)
+    report.add_row("implication", "holds", checked)
+    report.add_check("implication_sweep", True, f"{checked} data pairs")
+
+
+def _add_area_sweep(report: Report, table: IndexTable, points: list[Vec], md: MonotoneData) -> None:
+    """Report the Maslov index and the area of every capping class q, read
+    off the integer column ``IndexTable.maslov``.
+
+    ``IndexTable.certify_area`` proves area = tau * Maslov at every lattice
+    point, so a failure raises as ``capping_area`` would at its first point.
+    """
+    if not table.certify_area(md.x0, md.tau):
+        raise InvariantViolation("area-index proportionality failed")
+    for q, mu in zip(points, table.maslov):
+        report.add_row("area_maslov", format_vec(q), f"{mu}:{format_rational(md.tau * mu)}")
+    report.add_check("area_maslov_sweep", True, f"{len(points)} capping classes")
+
+
 # -- the suite ----------------------------------------------------------------
 
 
@@ -335,30 +381,12 @@ def _run_suite(
     unique_min = all(values[0] < fil for fil in values[1:])  # the identity comes first
     report.add_check("filtration_minimum", unique_min, "unique minimum at the identity")
 
-    # implication sweep: one (degree, action, filtration) row per generator
+    # implication sweep and area = tau * maslov, both certified by linearity
     stage["check"] = "implication_sweep"
-    x0_images = {w: w(md.x0) for w in group}
-    rows = [
-        (
-            table.degrees[iq][iw],
-            gram_pair(system.gram, add(q, shift.a), x0_images[w]),
-            values[iw],
-        )
-        for iq, q in enumerate(points)
-        for iw, w in enumerate(group)
-    ]
-    _add_implication_sweep(report, rows, points, group.elements)
-
-    # area = tau * maslov
+    x0_images = [w(md.x0) for w in group]
+    _add_implication_check(report, table, shift, points, group.elements, x0_images, md.tau)
     stage["check"] = "area_maslov_sweep"
-    ok_area = True
-    for q in points:
-        mu = capping_maslov(system, q)
-        area = capping_area(q, md)  # asserts area == tau * mu
-        ok_area = ok_area and area == md.tau * mu
-        ok_area = ok_area and capping_maslov(system, tuple(-x for x in q)) == -mu
-        report.add_row("area_maslov", format_vec(q), f"{mu}:{format_rational(area)}")
-    report.add_check("area_maslov_sweep", ok_area, f"{len(points)} capping classes")
+    _add_area_sweep(report, table, points, md)
 
     # parity
     stage["check"] = "parity"

@@ -145,6 +145,24 @@ def test_extra_catalog_report_digests(name, radius):
     assert hashlib.sha256(emit(report)).hexdigest() == EXTRA_DIGESTS[name, radius]
 
 
+F4_CATALOG = str(Path(__file__).resolve().parent.parent / "bench" / "data" / "f4.json")
+
+# SHA-256 of emit(run_suite(fi-f4, radius=r)) for the rank-4 pair F4/Sp(3)Sp(1)
+# (|W| = 1152), recorded with the per-generator action column and the
+# quadratic implication sweep, before both sweeps were certified by
+# linearity; radius 2 then took about a minute.
+F4_DIGESTS = {
+    1: "d5e2d43e67bf49578e8caa7598e57a9b69607829d07f0c66bb398abccff72421",
+    2: "69036ad23f762844bf2fb6917c03b62d019cec420f4980481ba68e4c848922a8",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(F4_DIGESTS))
+def test_f4_report_digests(radius):
+    report = run_suite(get_entry("fi-f4", F4_CATALOG), radius=F(radius))
+    assert hashlib.sha256(emit(report)).hexdigest() == F4_DIGESTS[radius]
+
+
 def test_pool_gives_serial_bytes(group_a2):
     # radius 3: 114 bad/ugly tasks, enough for the sweep to use the pool
     serial = emit(run_suite(group_a2, radius=F(3), jobs=1))

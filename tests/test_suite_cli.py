@@ -11,7 +11,7 @@ import pytest
 
 from rootquilt import Lattice, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
-from rootquilt.cli import main
+from rootquilt.cli import _join_negative_values, build_parser, main
 from rootquilt.lattice import DEFAULT_POINT_CAP
 from rootquilt.suite import (
     Report,
@@ -387,6 +387,58 @@ def test_cli_accepts_the_smallest_counts(capsys):
     argv = ["verify", "--pair", "group-a1", "--radius", "1", "--triangle", "0:e"]
     assert main([*argv, "--quad-nodes", "16", "--jobs", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
+
+
+# -- abbreviated rational options ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["verify", "--pair", "p", "--radius", "-1/2"], ["verify", "--pair", "p", "--radius=-1/2"]),
+        (["verify", "--pair", "p", "--rad", "-1/2"], ["verify", "--pair", "p", "--rad=-1/2"]),
+        (["verify", "--pair", "p", "--r", "-1"], ["verify", "--pair", "p", "--r=-1"]),
+        (["certify", "--eps", "-1/3", "--pair", "p"], ["certify", "--eps=-1/3", "--pair", "p"]),
+        (["filtration", "--ta", "-1/8"], ["filtration", "--ta=-1/8"]),
+        # ambiguous: --tau, --tol and --triangle; argparse reports it
+        (["verify", "--pair", "p", "--t", "-1/2"], None),
+        # a unique prefix of an option that takes no rational
+        (["verify", "--pair", "p", "--jo", "-3"], None),
+        (["triangle", "--pair", "p", "--q", "-1"], None),
+        # info has no --radius, so --r names nothing there
+        (["info", "--r", "-1"], None),
+        # a negative value only: a flag or a word stays apart
+        (["verify", "--pair", "p", "--rad", "-h"], None),
+    ],
+)
+def test_join_negative_values_resolves_prefixes(argv, joined):
+    assert _join_negative_values(argv, build_parser()) == (argv if joined is None else joined)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--pair", "group-a1", "--rad", "-1/2"], "--radius must be non-negative"),
+        (["filtration", "--pair", "group-a1", "--ra", "-1"], "--radius must be non-negative"),
+        (["verify", "--pair", "group-a1", "--ta", "-1/8"], "--tau must be positive"),
+        (["verify", "--pair", "group-a1", "--radius", "1", "--eps", "-1/3"],
+         "check generic_shift aborted: shift fails beta=(1)"),
+    ],
+)
+def test_cli_abbreviated_rational_options_take_negative_values(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["verify", "filtration"])
+def test_cli_ambiguous_prefix_keeps_the_argparse_error(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--pair", "group-a1", "--t", "-1/2"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "ambiguous option: --t could match --tau, --tol" in err
 
 
 # -- shift validation messages ------------------------------------------------
