@@ -318,40 +318,21 @@ _COMMANDS = {
 }
 
 
-_RATIONAL_OPTIONS = ("--tau", "--epsilon", "--radius")
-
-
-def _long_options(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """The long options of the subcommand that ``argv`` chooses, if any."""
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
-            chosen = action.choices[command]
-            return [s for a in chosen._actions for s in a.option_strings if s.startswith("--")]
-    return []
-
-
-def _resolve(token: str, options: list[str]) -> str | None:
-    """The option a ``--x`` token names, as argparse resolves it: the option
-    itself, or the one option it is a prefix of.  None when there is none or
-    the prefix is ambiguous, which argparse then reports."""
-    if token in options:
-        return token
-    if len(token) <= 2 or not token.startswith("--") or "=" in token:
-        return None
-    matches = [o for o in options if o.startswith(token)]
-    return matches[0] if len(matches) == 1 else None
-
-
-def _join_negative_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Join a negative value to its rational option, ``--epsilon -1/3`` ->
-    ``--epsilon=-1/3``, since argparse reads -1/3 as a flag.  The option may
-    be abbreviated as argparse allows (``--rad -1/2``)."""
-    options = _long_options(parser, argv)
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative value to the long option before it, ``--epsilon -1/3``
+    -> ``--epsilon=-1/3``, since argparse reads -1/3 as a flag.  argparse then
+    resolves an abbreviated option (``--rad=-1/2``) and checks the value; the
+    end-of-options marker ``--`` is left alone."""
     out: list[str] = []
     for tok in argv:
-        negative = tok[:1] == "-" and tok[1:2].isdigit()
-        if out and negative and _resolve(out[-1], options) in _RATIONAL_OPTIONS:
+        if (
+            out
+            and out[-1].startswith("--")
+            and out[-1] != "--"
+            and "=" not in out[-1]
+            and tok[:1] == "-"
+            and tok[1:2].isdigit()
+        ):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -360,8 +341,7 @@ def _join_negative_values(argv: list[str], parser: argparse.ArgumentParser) -> l
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(argv, parser))
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return _COMMANDS[args.command](args)
     except RootQuiltError as exc:

@@ -222,9 +222,9 @@ def implication_violations(rows: Sequence[ImplicationRow]) -> tuple[int, tuple[i
     degree group are compared.  Returns the violation count and the first
     violating pair in lexicographic order of (i, j), or None.
 
-    Quadratic in the rows.  ``verify`` runs it only when
-    ``IndexTable.certify_implication`` fails, since the certificate proves
-    the count is 0; it is also the certificate's oracle.
+    Quadratic in the rows.  ``verify`` never runs it:
+    ``IndexTable.certify_implication`` proves the count is 0, and this
+    pair loop stays the certificate's oracle.
     """
     groups: dict[int, list[int]] = {}
     for i, (degree, _, _) in enumerate(rows):
@@ -470,8 +470,8 @@ class IndexTable:
         pairings prove it at every generator.  With tau > 0, equal degrees
         and a strict action drop then force a strict filtration drop, so
         ``implication_violations`` of the generators' rows is (0, None).
-        False means only that the certificate failed; the rows must then be
-        compared pair by pair.
+        False means only that the certificate failed, not that some pair
+        violates the implication.
         """
         if tau <= 0:
             return False

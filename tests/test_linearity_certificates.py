@@ -6,8 +6,8 @@ tau * (degree + filtration), so no pair can violate the energy gap; and
 class.  Each test compares what ``verify`` reports through a certificate
 with the Fraction pair loop or the capping oracles it replaces, and checks
 that the certificate is what decided: it holds on the catalog data and fails
-on a perturbed x0 image or tau, where the pair loop must run instead, or the
-area check must raise.
+on a perturbed x0 image or tau, where the check must raise rather than
+report a pass.
 """
 
 from dataclasses import replace
@@ -17,11 +17,12 @@ from pathlib import Path
 import pytest
 
 from rootquilt import get_entry
-from rootquilt.errors import InvariantViolation
-from rootquilt.indices import capping_area, capping_maslov, index_table, monotone_data
+from rootquilt.errors import InvariantViolation, RootQuiltError
+from rootquilt.indices import IndexTable, capping_area, capping_maslov, index_table, monotone_data
 from rootquilt.linalg import add, format_rational, format_vec, gram_pair, scale
 from rootquilt.suite import (
     Report,
+    run_suite,
     _add_area_sweep,
     _add_implication_check,
     _add_implication_sweep,
@@ -76,10 +77,15 @@ def _pair_loop(shift, table, points, elements, x0_images):
     return report
 
 
-def _implication_check(shift, table, points, elements, x0_images, tau):
+def _implication_check(table, x0_images, tau):
     report = Report("t", "verify", {})
-    _add_implication_check(report, table, shift, points, elements, x0_images, tau)
+    _add_implication_check(report, table, x0_images, tau)
     return report
+
+
+def _raises_action_identity(table, x0_images, tau):
+    with pytest.raises(InvariantViolation, match="action identity failed"):
+        _implication_check(table, x0_images, tau)
 
 
 def _same(a: Report, b: Report) -> bool:
@@ -91,7 +97,7 @@ def test_certified_implication_matches_the_pair_loop(case):
     shift, md, group, table, points = _setup(*case)
     images = [w(md.x0) for w in group]
     assert table.certify_implication(images, md.tau)
-    fast = _implication_check(shift, table, points, group.elements, images, md.tau)
+    fast = _implication_check(table, images, md.tau)
     loop = _pair_loop(shift, table, points, group.elements, images)
     assert _same(fast, loop)
     n = len(points) * group.order
@@ -131,41 +137,39 @@ def _perturbed_images(images, k, factor):
         ("group-a2", 0, 3, F(101, 100)),
     ],
 )
-def test_perturbed_x0_image_takes_the_pair_loop(name, radius, k, factor):
+def test_perturbed_x0_image_fails_the_certificate(name, radius, k, factor):
     shift, md, group, table, points = _setup(None, name, radius, None, None)
     images = _perturbed_images([w(md.x0) for w in group], k, factor)
     assert not table.certify_implication(images, md.tau)
-    fast = _implication_check(shift, table, points, group.elements, images, md.tau)
-    assert _same(fast, _pair_loop(shift, table, points, group.elements, images))
+    _raises_action_identity(table, images, md.tau)
 
 
-def test_perturbed_x0_image_reports_the_first_violation():
+def test_certificate_refuses_data_the_pair_loop_rejects():
     # s1's image reversed: the actions of s1 change sign, so at the origin
     # the action drops from s2 to s1 in one degree group while the
-    # filtration does not
+    # filtration does not; the certificate must not report a pass there
     shift, md, group, table, points = _setup(None, "group-a2", 2, None, None)
     images = _perturbed_images([w(md.x0) for w in group], 1, F(-1))
-    fast = _implication_check(shift, table, points, group.elements, images, md.tau)
-    [check] = fast.checks
+    loop = _pair_loop(shift, table, points, group.elements, images)
+    [check] = loop.checks
     assert (check.status, check.detail) == (
         "fail",
         "1764 data pairs; first violation (s2;0,0) -> (s1;0,0)",
     )
-    assert [r["value"] for r in fast.rows] == ["1764", "1753"]
-    assert _same(fast, _pair_loop(shift, table, points, group.elements, images))
+    assert [r["value"] for r in loop.rows] == ["1764", "1753"]
+    _raises_action_identity(table, images, md.tau)
 
 
 @pytest.mark.parametrize("tau_factor", [F(2), F(1, 3), F(-1), F(0)])
-def test_perturbed_tau_takes_the_pair_loop(tau_factor):
+def test_perturbed_tau_fails_the_certificate(tau_factor):
     shift, md, group, table, points = _setup(None, "ai-a2", 2, None, None)
     images = [w(md.x0) for w in group]
     tau = tau_factor * md.tau
     assert not table.certify_implication(images, tau)
-    fast = _implication_check(shift, table, points, group.elements, images, tau)
-    assert _same(fast, _pair_loop(shift, table, points, group.elements, images))
+    _raises_action_identity(table, images, tau)
 
 
-def test_negative_tau_takes_the_pair_loop():
+def test_negative_tau_fails_the_certificate():
     # x0 = 2 tau rho with tau < 0: the action identity holds, but the
     # actions run against the filtration, so the certificate must not.  In
     # B2's window some degree groups hold several filtration weights, which
@@ -173,9 +177,16 @@ def test_negative_tau_takes_the_pair_loop():
     shift, md, group, table, points = _setup(EXTRA_CATALOG, "spin5-b2", 3, None, None)
     images = [scale(F(-1), w(md.x0)) for w in group]
     assert not table.certify_implication(images, -md.tau)
-    fast = _implication_check(shift, table, points, group.elements, images, -md.tau)
-    assert fast.checks[0].status == "fail"
-    assert _same(fast, _pair_loop(shift, table, points, group.elements, images))
+    _raises_action_identity(table, images, -md.tau)
+    assert _pair_loop(shift, table, points, group.elements, images).checks[0].status == "fail"
+
+
+def test_failed_certificate_aborts_verify_naming_the_check(monkeypatch):
+    monkeypatch.setattr(IndexTable, "certify_implication", lambda self, images, tau: False)
+    with pytest.raises(
+        RootQuiltError, match="check implication_sweep aborted: action identity failed"
+    ):
+        run_suite(get_entry("group-a1"), radius=F(1))
 
 
 def test_wrong_filtration_weight_fails_the_certificate():

@@ -11,7 +11,7 @@ import pytest
 
 from rootquilt import Lattice, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
-from rootquilt.cli import _join_negative_values, build_parser, main
+from rootquilt.cli import _join_negative_values, main
 from rootquilt.lattice import DEFAULT_POINT_CAP
 from rootquilt.suite import (
     Report,
@@ -397,22 +397,19 @@ def test_cli_accepts_the_smallest_counts(capsys):
     [
         (["verify", "--pair", "p", "--radius", "-1/2"], ["verify", "--pair", "p", "--radius=-1/2"]),
         (["verify", "--pair", "p", "--rad", "-1/2"], ["verify", "--pair", "p", "--rad=-1/2"]),
-        (["verify", "--pair", "p", "--r", "-1"], ["verify", "--pair", "p", "--r=-1"]),
         (["certify", "--eps", "-1/3", "--pair", "p"], ["certify", "--eps=-1/3", "--pair", "p"]),
-        (["filtration", "--ta", "-1/8"], ["filtration", "--ta=-1/8"]),
-        # ambiguous: --tau, --tol and --triangle; argparse reports it
-        (["verify", "--pair", "p", "--t", "-1/2"], None),
-        # a unique prefix of an option that takes no rational
-        (["verify", "--pair", "p", "--jo", "-3"], None),
-        (["triangle", "--pair", "p", "--q", "-1"], None),
-        # info has no --radius, so --r names nothing there
-        (["info", "--r", "-1"], None),
-        # a negative value only: a flag or a word stays apart
+        (["verify", "--pair", "p", "--jo", "-3"], ["verify", "--pair", "p", "--jo=-3"]),
+        (["triangle", "--pair", "p", "--q", "-1,0"], ["triangle", "--pair", "p", "--q=-1,0"]),
+        # an option that already has its value, the end-of-options marker,
+        # and a flag or a word after an option stay apart
+        (["verify", "--pair", "p", "--radius=1", "-1"], None),
+        (["verify", "--pair", "p", "--", "-1"], None),
         (["verify", "--pair", "p", "--rad", "-h"], None),
+        (["verify", "--pair", "p", "-h", "-1"], None),
     ],
 )
-def test_join_negative_values_resolves_prefixes(argv, joined):
-    assert _join_negative_values(argv, build_parser()) == (argv if joined is None else joined)
+def test_join_negative_values(argv, joined):
+    assert _join_negative_values(argv) == (argv if joined is None else joined)
 
 
 @pytest.mark.parametrize(
@@ -438,7 +435,22 @@ def test_cli_ambiguous_prefix_keeps_the_argparse_error(command, capsys):
         main([command, "--pair", "group-a1", "--t", "-1/2"])
     assert exit_.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "ambiguous option: --t could match --tau, --tol" in err
+    assert out == "" and "ambiguous option: --t=-1/2 could match --tau, --tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--jo", "-3"], "argument --jobs: -3 is too few; at least 1 is needed"),
+        (["--quad", "-16"], "argument --quad-nodes: -16 is too few"),
+    ],
+)
+def test_cli_abbreviated_count_options_keep_their_own_check(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--pair", "group-a1", *argv])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 # -- shift validation messages ------------------------------------------------
