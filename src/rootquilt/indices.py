@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import FloorBoundary, InvariantViolation, ModeMismatch, NotDominant, NotUgly
 from .lattice import GenericShift, Mode, weighted_root_sum
-from .linalg import Vec, add, gram_pair, scale, vec
+from .linalg import Vec, add, dot, gram_pair, mat_vec, scale, vec
 from .roots import RestrictedRootSystem, WeylElement
 
 
@@ -449,14 +449,27 @@ class IndexTable:
         base = self.positive[0]
         return [-sum(self.mult[i] * row[i] for i in base) for row in self.two_alpha_q]
 
+    # The Gram matrix G is symmetric, so <v, x> = (G v) . x: each comparison
+    # of the certificates is one dot product against a covector built once.
+
+    @cached_property
+    def _basis_covectors(self) -> tuple[Vec, ...]:
+        """G b for every lattice basis vector b."""
+        return tuple(mat_vec(self._gram, b) for b in self._lattice.basis)
+
+    @cached_property
+    def _a_covector(self) -> Vec:
+        """G a for the shift a."""
+        return mat_vec(self._gram, self._a)
+
     def _pairs_on_basis(self, x: Vec, pos: Sequence[int], tau: Fraction) -> bool:
         """Whether <b, x> = tau * sum over pos of m_alpha 2*alpha(b) at every
         lattice basis vector b; both sides are linear in b, so then at every
         lattice point."""
         two_alpha_b = self._lattice.two_alpha_basis
         return all(
-            gram_pair(self._gram, b, x) == tau * sum(self.mult[i] * two_alpha_b[i][j] for i in pos)
-            for j, b in enumerate(self._lattice.basis)
+            dot(gb, x) == tau * sum(self.mult[i] * two_alpha_b[i][j] for i in pos)
+            for j, gb in enumerate(self._basis_covectors)
         )
 
     def certify_implication(self, x0_images: Sequence[Vec], tau: Fraction) -> bool:
@@ -479,7 +492,7 @@ class IndexTable:
             if not self._pairs_on_basis(x, pos, tau):
                 return False
             floor_sum = sum(self.mult[i] * self.floor_a[i] for i in pos)
-            if gram_pair(self._gram, self._a, x) != tau * (floor_sum + fil):
+            if dot(self._a_covector, x) != tau * (floor_sum + fil):
                 return False
         return True
 

@@ -15,8 +15,13 @@ Three prevertices leave no accessory parameters; a Gauss-Jacobi rule for
 the weight (1 - x)^alpha absorbs the endpoint singularities.  Its nodes are
 the roots of the Jacobi polynomial P_n^(alpha, 0), found by Newton's method
 from closed-form guesses, with P_n evaluated by its three-term recurrence,
-so the rule needs numpy alone.  Floating point is confined to this half;
-exact rationals are converted at the boundary.
+so the rule needs numpy alone.  Other points are integrated along dyadic
+panels with the alpha = 0 case of the same builder, the Gauss-Legendre
+rule.  There the integrand is evaluated with square roots alone: every
+exponent is a multiple of 1/4, and inside the disk every factor has
+argument in (-pi/2, pi/2), so the principal roots of the products equal
+the principal powers.  Floating point is confined to this half; exact
+rationals are converted at the boundary.
 """
 
 from __future__ import annotations
@@ -236,10 +241,15 @@ _INT_TARGETS = (1.0j, 0.0 + 0.0j, 1.0 + 0.0j)
 
 
 def _sc_derivative(zeta: np.ndarray) -> np.ndarray:
-    out = np.ones_like(zeta, dtype=complex)
-    for zk, bk in zip(_INT_PREVERTICES, _INT_EXPONENTS):
-        out = out * np.exp(-bk * np.log(1.0 - zeta / zk))
-    return out
+    """(1 - zeta)^(-3/4) (1 + i zeta)^(-1/2) (1 - i zeta)^(-3/4) inside the disk.
+
+    With P = (1 - zeta)(1 - i zeta), Q = 1 + i zeta and s = sqrt(P), this is
+    1 / (s sqrt(s Q)), which needs square roots only.
+    """
+    # For |zeta| < 1 each factor has argument in (-pi/2, pi/2), so arg P and
+    # arg(s Q) lie in (-pi, pi) and each principal root is the principal power.
+    s = np.sqrt((1.0 - zeta) * (1.0 - 1j * zeta))
+    return 1.0 / (s * np.sqrt(s * (1.0 + 1j * zeta)))
 
 
 # Newton from the closed-form guesses moves less than 1e-15 by its fifth step
@@ -348,9 +358,7 @@ class TriangleMapSolution:
         if self.corner_residual > tol:
             raise QuadratureNotConverged(self.corner_residual, tol)
         self._gl_per_panel = max(12, nodes // 16)
-        self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(
-            self._gl_per_panel
-        )
+        self._gl_nodes, self._gl_weights = _gauss_jacobi(self._gl_per_panel, 0.0)
         self.cauchy_riemann_residual = self._cr_residual()
 
     # -- evaluation ----------------------------------------------------

@@ -166,6 +166,17 @@ def test_cr_residual_decreases_with_nodes():
     assert residuals[2] <= 1.1 * residuals[1]
 
 
+def test_residuals_at_1024_nodes_stay_at_rounding_level():
+    sol = solve_triangle(1024)
+    assert boundary_deviation(sol, 500).max_deviation < 1e-13
+    assert symmetry_residual(sol) < 1e-13
+
+
+def test_cr_residual_at_256_nodes_is_pinned(solved_256):
+    # the centered-difference truncation error, not quadrature noise
+    assert abs(solved_256.cauchy_riemann_residual - 9.689e-7) <= 0.01 * 9.689e-7
+
+
 def test_symmetry_under_exponent_swap(solved_256):
     assert symmetry_residual(solved_256) < 1e-8
 
@@ -184,6 +195,47 @@ def test_interior_samples_stay_inside():
 
 def test_side_ratio_residual(solved_256):
     assert solved_256.side_ratio_residual < 1e-10
+
+
+# -- the square-root kernel against the log/exp product it replaced ---------
+
+
+_INT_PREVERTICES = (1.0 + 0.0j, 1.0j, -1.0j)
+_INT_EXPONENTS = (0.75, 0.5, 0.75)
+
+
+def _log_exp_sc_derivative(zeta: np.ndarray) -> np.ndarray:
+    """The map derivative as a product of principal powers, one complex log
+    and exp per factor: the formula the square-root kernel replaced."""
+    out = np.ones_like(zeta, dtype=complex)
+    for zk, bk in zip(_INT_PREVERTICES, _INT_EXPONENTS):
+        out = out * np.exp(-bk * np.log(1.0 - zeta / zk))
+    return out
+
+
+def _kernel_points() -> np.ndarray:
+    rng = np.random.default_rng(20260)
+    count = 100_000
+    radius = np.sqrt(rng.uniform(0.0, 1.0, count))
+    disk = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, count))
+    disk = disk[np.abs(disk) < 1.0]
+    angles = rng.uniform(-math.pi, math.pi, 4096)
+    rim = (1.0 - 1e-12) * np.exp(1j * angles)
+    near = []
+    for zk in PREVERTICES:
+        offsets = 1e-12 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+        ring = zk + offsets
+        near.append(ring[np.abs(ring) < 1.0])
+        near.append(zk * (1.0 - np.array([1e-12, 3e-13, 1e-13])))
+    return np.concatenate([disk, rim, *near])
+
+
+def test_sc_derivative_matches_log_exp_product():
+    zs = _kernel_points()
+    assert len(zs) >= 100_000 and np.all(np.abs(zs) < 1.0)
+    expected = _log_exp_sc_derivative(zs)
+    got = _sc_derivative(zs)
+    assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-14
 
 
 # -- batched evaluation against the scalar path it replaced ----------------
@@ -214,7 +266,7 @@ def _scalar_path_integral(self, z: complex) -> complex:
     half = (t1 - t0) / 2.0
     mid = (t1 + t0) / 2.0
     t = (mid[:, None] + half[:, None] * self._gl_nodes[None, :]).ravel()
-    vals = _sc_derivative(z * t).reshape(len(t0), -1)
+    vals = _log_exp_sc_derivative(z * t).reshape(len(t0), -1)
     per_panel = half * np.sum(vals * self._gl_weights[None, :], axis=1)
     return z * np.sum(per_panel)
 
@@ -333,12 +385,23 @@ def test_gauss_jacobi_rule_is_cached_read_only():
     assert not x.flags.writeable and not w.flags.writeable
 
 
-def test_solves_at_one_node_count_share_two_rules():
-    # the two acute corners share alpha = -3/4, the right angle has -1/2
+@pytest.mark.parametrize("nodes, weight_tol", [(12, 1e-15), (16, 1e-15), (64, 3e-15)])
+def test_panel_rule_is_gauss_legendre(nodes, weight_tol):
+    # At 64 nodes leggauss's own weights are 2.3e-15 from the exact ones
+    # (40-digit Newton), this rule's 1.3e-16.
+    x, w = _gauss_jacobi(nodes, 0.0)
+    xl, wl = np.polynomial.legendre.leggauss(nodes)
+    assert np.max(np.abs(x - xl)) <= 1e-15
+    assert np.max(np.abs(w - wl)) <= weight_tol
+
+
+def test_solves_at_one_node_count_share_three_rules():
+    # the two acute corners share alpha = -3/4, the right angle has -1/2,
+    # and the panels use alpha = 0 at max(12, nodes // 16) nodes
     _gauss_jacobi.cache_clear()
     for _ in range(3):
         solve_triangle(128)
-    assert _gauss_jacobi.cache_info().misses == 2
+    assert _gauss_jacobi.cache_info().misses == 3
 
 
 def test_newton_without_steps_is_not_converged(monkeypatch):
@@ -379,6 +442,20 @@ def test_commands_run_with_scipy_unimportable():
         [sys.executable, "-c", script], capture_output=True, env=env, cwd=REPO, timeout=300
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_triangle_command_does_not_import_numpy_polynomial():
+    script = (
+        "import sys\n"
+        "from rootquilt.cli import main\n"
+        "code = main(['verify', '--pair', 'group-a1', '--triangle', '0:e'])\n"
+        "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, cwd=REPO, timeout=300
+    )
+    assert proc.stderr.decode().split()[-2:] == ["0", "False"], proc.stderr.decode()
 
 
 def test_no_source_file_names_scipy():
