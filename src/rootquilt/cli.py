@@ -20,7 +20,14 @@ from .lattice import Mode
 from .linalg import format_rational, format_vec, parse_rational
 from .ring import Generator, star_unit_sector, triangularity_certificate
 from .suite import Report, build_shift, emit, run_suite
-from .triangle import boundary_deviation, solve_triangle, symmetry_residual, verify_hull
+from .triangle import (
+    boundary_deviation,
+    build_triple,
+    plane_model,
+    solve_triangle,
+    symmetry_residual,
+    verify_hull,
+)
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -65,7 +72,9 @@ _node_count = _int_at_least(16, "are needed for the corner quadrature")
 _job_count = _int_at_least(1, "is needed")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options shared by every command that builds a shift, as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--pair", required=True, help="catalog entry name")
     p.add_argument("--catalog", default=None, help="path to a catalog file")
     p.add_argument("--tau", default=None, help="monotonicity constant (rational)")
@@ -75,18 +84,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--quad-nodes", type=_node_count, default=256)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rootquilt")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
 
     p_info = sub.add_parser("info", help="describe catalog entries")
     p_info.add_argument("--pair", default=None)
     p_info.add_argument("--catalog", default=None)
 
-    p_verify = sub.add_parser("verify", help="run the full check suite")
-    _add_common(p_verify)
+    p_verify = sub.add_parser("verify", parents=common, help="run the full check suite")
     p_verify.add_argument(
         "--triangle",
         action="append",
@@ -95,26 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="also solve the triangle model for lattice coords Q and word W, e.g. 1:1",
     )
 
-    p_index = sub.add_parser("index", help="quilt index of one datum")
-    _add_common(p_index)
+    p_index = sub.add_parser("index", parents=common, help="quilt index of one datum")
     p_index.add_argument("--q-in", required=True, help="input chord, lattice coords")
     p_index.add_argument("--w-out", required=True, help="output word, e.g. e or 1,2")
     p_index.add_argument("--q-out", required=True, help="output chord, lattice coords")
 
-    p_fil = sub.add_parser("filtration", help="filtration weights and leading terms")
-    _add_common(p_fil)
+    sub.add_parser("filtration", parents=common, help="filtration weights and leading terms")
 
-    p_prod = sub.add_parser("product", help="unit-sector product")
-    _add_common(p_prod)
+    p_prod = sub.add_parser("product", parents=common, help="unit-sector product")
     p_prod.add_argument("--q1", required=True, help="unit-sector exponent, lattice coords")
     p_prod.add_argument("--w", required=True, help="sector word of the right factor")
     p_prod.add_argument("--q2", required=True, help="chord of the right factor")
 
-    p_cert = sub.add_parser("certify", help="triangularity and finite generation")
-    _add_common(p_cert)
+    sub.add_parser("certify", parents=common, help="triangularity and finite generation")
 
-    p_tri = sub.add_parser("triangle", help="solve the conformal triangle model")
-    _add_common(p_tri)
+    p_tri = sub.add_parser("triangle", parents=common, help="solve the conformal triangle model")
     p_tri.add_argument("--q", required=True, help="chord, lattice coords")
     p_tri.add_argument("--w", required=True, help="chamber word")
     p_tri.add_argument("--samples", type=_sample_count, default=500)
@@ -273,8 +278,6 @@ def cmd_triangle(args) -> int:
     md = monotone_data(entry.system, params["tau"])
     q = entry.lattice.from_coords(_parse_coords(entry, args.q))
     w = group.from_word(_parse_word(args.w))
-    from .triangle import build_triple, plane_model
-
     triple = build_triple(q, w, shift, md)
     plane_model(triple)
     sol = solve_triangle(args.quad_nodes, tol=max(args.tol, 1e-8))

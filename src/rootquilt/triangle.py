@@ -1,9 +1,14 @@
 """The affine Lagrangian triple model and its conformal triangle map.
 
-The exact half constructs three affine Lagrangian subspaces of Q^{2r}
-attached to a chord and a chamber element, intersects them pairwise, and
-reduces to the plane through the three intersection points, where the
-boundary conditions become the lines x = 0, x + y = 1, y = 0.
+The exact half attaches three affine Lagrangians of Q^{2r} = {(eta, zeta)}
+to a chord q and a chamber element w: l1 = {eta = 0}, l2 = {eta + zeta =
+q + a} and l3 = {zeta = w X0}.  Their directions (0, e_j), (-e_j, e_j),
+(e_j, 0) and normal rows form a frame that is built and certified once per
+Gram matrix (rank r, isotropic, annihilated by the rows, pairwise
+transverse).  With qa = q + a, x = w X0 and d = qa - x the intersections
+are p12 = (0, qa), p23 = (d, x) and p13 = (0, x), and the plane
+p13 + x (d, 0) + y (0, d) takes the boundary conditions to the lines
+x = 0, x + y = 1, y = 0.  Per (q, w) only integer substitutions remain.
 
 The numerical half solves the resulting boundary problem on the unit disk:
 the map onto the triangle {0 <= x, y, x + y <= 1} with fixed prevertices
@@ -27,6 +32,7 @@ rationals are converted at the boundary.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +42,7 @@ import numpy as np
 from .errors import Degenerate, InvariantViolation, QuadratureNotConverged
 from .indices import MonotoneData
 from .lattice import GenericShift
-from .linalg import Vec, add, gram_pair, matrix_rank, rref, solve_unique, sub, vec, zero_vec
+from .linalg import Mat, Vec, add, gram_pair, matrix_rank, solve_unique, sub, vec, zero_vec
 from .roots import RestrictedRootSystem, WeylElement
 
 # -- exact affine geometry -------------------------------------------------
@@ -52,10 +58,19 @@ class AffineSubspace:
     eq_rhs: Vec
 
     def contains(self, p: Vec) -> bool:
-        return all(
-            sum(r * x for r, x in zip(row, p)) == c
-            for row, c in zip(self.eq_rows, self.eq_rhs)
-        )
+        """Substitution into the normal equations, scaled to integers."""
+        pt, rhs = _integral(p, self.eq_rhs)
+        return all(_dot(row, pt) == c for row, c in zip(self.eq_rows, rhs))
+
+
+def _integral(*vecs: Vec) -> tuple[tuple[int, ...], ...]:
+    """The vectors times the lcm of all their denominators, as integers."""
+    big = math.lcm(*(c.denominator for v in vecs for c in v))
+    return tuple(tuple(c.numerator * (big // c.denominator) for c in v) for v in vecs)
+
+
+def _dot(row, p):
+    return sum(a * x for a, x in zip(row, p))
 
 
 def _sympl(gram, u: Vec, v: Vec) -> Fraction:
@@ -82,74 +97,61 @@ class AffineLagrangianTriple:
     difference: Vec  # q + a - w X0, the momentum extent of the model
 
 
-def _intersect(a: AffineSubspace, b: AffineSubspace) -> Vec | None:
-    """Unique intersection point of two affine subspaces, or None."""
-    dim = len(a.point)
-    k1, k2 = len(a.directions), len(b.directions)
-    rows = []
-    rhs = []
-    for coord in range(dim):
-        rows.append(
-            vec([d[coord] for d in a.directions] + [-d[coord] for d in b.directions])
-        )
-        rhs.append(b.point[coord] - a.point[coord])
-    sol = solve_unique(rows, vec(rhs))
-    if sol is None:
-        return None
-    out = a.point
-    for c, d in zip(sol[:k1], a.directions):
-        out = add(out, tuple(c * x for x in d))
-    return out
+@functools.lru_cache(maxsize=64)
+def _frame(gram: Mat) -> tuple:
+    """The (directions, normal rows) of l1, l2, l3, in integers, certified once per Gram.
+
+    Each direction set has rank r, is isotropic and is annihilated by its
+    normal rows, which have rank r; every two direction sets have rank 2r,
+    so each pair of subspaces meets in a single point.
+    """
+    r = len(gram)
+    unit = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    zero = (0,) * r
+    frame = (
+        (tuple(zero + e for e in unit), tuple(e + zero for e in unit)),
+        (tuple(tuple(-c for c in e) + e for e in unit), tuple(e + e for e in unit)),
+        (tuple(e + zero for e in unit), tuple(zero + e for e in unit)),
+    )
+    for dirs, rows in frame:
+        if matrix_rank(dirs) != r:
+            raise InvariantViolation("direction space is degenerate")
+        if any(_sympl(gram, u, v) != 0 for u in dirs for v in dirs):
+            raise InvariantViolation("direction space is not isotropic")
+        if matrix_rank(rows) != r or any(_dot(row, u) for row in rows for u in dirs):
+            raise InvariantViolation("inconsistent affine representation")
+    for (dirs_a, _), (dirs_b, _) in itertools.combinations(frame, 2):
+        if matrix_rank(dirs_a + dirs_b) != 2 * r:
+            raise Degenerate("subspaces are not pairwise transverse")
+    return frame
 
 
 def build_triple(
     q: Vec, w: WeylElement, shift: GenericShift, md: MonotoneData
 ) -> AffineLagrangianTriple:
-    """Construct the three affine Lagrangians and intersect them exactly."""
+    """The three affine Lagrangians on the frame, and their closed-form intersections.
+
+    Every base point and intersection point is checked by substitution into
+    the normal equations of its subspaces; the frame makes each intersection
+    unique.
+    """
     system = shift.system
-    r = system.rank
     qa = add(q, shift.a)
     x_out = w(md.x0)
     d = sub(qa, x_out)
-    if all(x == 0 for x in d):
+    if not any(d):
         raise Degenerate("q + a coincides with w X0")
-
-    def basis(j):
-        return tuple(Fraction(1) if i == j else Fraction(0) for i in range(r))
-
-    zero = zero_vec(r)
-    l1 = AffineSubspace(
-        point=zero + zero,
-        directions=tuple(zero + basis(j) for j in range(r)),
-        eq_rows=tuple(basis(j) + zero for j in range(r)),
-        eq_rhs=zero,
-    )
-    l2 = AffineSubspace(
-        point=qa + zero,
-        directions=tuple(tuple(-x for x in basis(j)) + basis(j) for j in range(r)),
-        eq_rows=tuple(basis(j) + basis(j) for j in range(r)),
-        eq_rhs=qa,
-    )
-    l3 = AffineSubspace(
-        point=zero + x_out,
-        directions=tuple(basis(j) + zero for j in range(r)),
-        eq_rows=tuple(zero + basis(j) for j in range(r)),
-        eq_rhs=x_out,
-    )
-    for sub_ in (l1, l2, l3):
-        if matrix_rank(list(sub_.directions)) != r:
-            raise InvariantViolation("direction space is degenerate")
-        for u in sub_.directions:
-            for v in sub_.directions:
-                if _sympl(system.gram, u, v) != 0:
-                    raise InvariantViolation("direction space is not isotropic")
-        if not sub_.contains(sub_.point):
-            raise InvariantViolation("inconsistent affine representation")
-    p12 = _intersect(l1, l2)
-    p23 = _intersect(l2, l3)
-    p13 = _intersect(l1, l3)
-    if p12 is None or p23 is None or p13 is None:
-        raise Degenerate("subspaces are not pairwise transverse")
+    (dirs1, rows1), (dirs2, rows2), (dirs3, rows3) = _frame(system.gram)
+    zero = zero_vec(system.rank)
+    l1 = AffineSubspace(zero + zero, dirs1, rows1, zero)
+    l2 = AffineSubspace(qa + zero, dirs2, rows2, qa)
+    l3 = AffineSubspace(zero + x_out, dirs3, rows3, x_out)
+    if not all(sub_.contains(sub_.point) for sub_ in (l1, l2, l3)):
+        raise InvariantViolation("inconsistent affine representation")
+    p12, p23, p13 = zero + qa, d + x_out, zero + x_out
+    for p, pair in ((p12, (l1, l2)), (p23, (l2, l3)), (p13, (l1, l3))):
+        if not all(sub_.contains(p) for sub_ in pair):
+            raise Degenerate("subspaces are not pairwise transverse")
     return AffineLagrangianTriple(system, q, w, l1, l2, l3, p12, p23, p13, d)
 
 
@@ -180,36 +182,31 @@ class PlaneModel:
         return sol[0], sol[1]
 
 
-_LINE_TARGETS = (
-    ((Fraction(1), Fraction(0), Fraction(0)),),  # x = 0
-    ((Fraction(1), Fraction(1), Fraction(1)),),  # x + y = 1
-    ((Fraction(0), Fraction(1), Fraction(0)),),  # y = 0
-)
+_LINE_TARGETS = ((1, 0, 0), (1, 1, 1), (0, 1, 0))  # x = 0, x + y = 1, y = 0
 
 
 def plane_model(triple: AffineLagrangianTriple) -> PlaneModel:
-    """Reduce the triple to unit plane coordinates and verify the reduction."""
-    r = triple.system.rank
-    d = triple.difference
-    zero = zero_vec(r)
-    model = PlaneModel(
-        triple=triple,
-        base=triple.p13,  # (0, w X0)
-        u_dir=d + zero,
-        v_dir=zero + d,
+    """Reduce the triple to unit plane coordinates and verify the reduction.
+
+    Both checks substitute in integers: the embedding sends (0, 1), (1, 0),
+    (0, 0) to p12, p23, p13, and each subspace's pulled-back normal rows are
+    multiples of its target line, not all zero.
+    """
+    d, zero = triple.difference, zero_vec(triple.system.rank)
+    model = PlaneModel(triple, base=triple.p13, u_dir=d + zero, v_dir=zero + d)
+    subs = (triple.l1, triple.l2, triple.l3)
+    base, u, v, *points_rhs = _integral(
+        model.base, model.u_dir, model.v_dir, triple.p12, triple.p23, triple.p13,
+        *(sub_.eq_rhs for sub_ in subs),
     )
-    expected = {(0, 1): triple.p12, (1, 0): triple.p23, (0, 0): triple.p13}
-    for (x, y), p in expected.items():
-        if model.coordinates(p) != (Fraction(x), Fraction(y)):
+    for (x, y), p in zip(((0, 1), (1, 0), (0, 0)), points_rhs[:3]):
+        if tuple(b + x * s + y * t for b, s, t in zip(base, u, v)) != p:
             raise InvariantViolation("intersection point has wrong plane coordinates")
-    for sub_, target in zip((triple.l1, triple.l2, triple.l3), _LINE_TARGETS):
-        pulled = []
-        for row, c in zip(sub_.eq_rows, sub_.eq_rhs):
-            ax = sum(r_ * u for r_, u in zip(row, model.u_dir))
-            ay = sum(r_ * v for r_, v in zip(row, model.v_dir))
-            a0 = c - sum(r_ * b for r_, b in zip(row, model.base))
-            pulled.append((ax, ay, a0))
-        if rref(pulled) != rref(target):
+    for sub_, rhs, t in zip(subs, points_rhs[3:], _LINE_TARGETS):
+        pulled = [(_dot(row, u), _dot(row, v), c - _dot(row, base))
+                  for row, c in zip(sub_.eq_rows, rhs)]
+        crosses = (p[i] * t[j] - p[j] * t[i] for p in pulled for i, j in ((0, 1), (0, 2), (1, 2)))
+        if any(crosses) or not any(map(any, pulled)):
             raise InvariantViolation("pulled-back boundary line is wrong")
     return model
 
@@ -359,7 +356,6 @@ class TriangleMapSolution:
             raise QuadratureNotConverged(self.corner_residual, tol)
         self._gl_per_panel = max(12, nodes // 16)
         self._gl_nodes, self._gl_weights = _gauss_jacobi(self._gl_per_panel, 0.0)
-        self.cauchy_riemann_residual = self._cr_residual()
 
     # -- evaluation ----------------------------------------------------
 
@@ -427,9 +423,10 @@ class TriangleMapSolution:
 
     # -- residuals -------------------------------------------------------
 
-    def _cr_residual(self) -> float:
+    @functools.cached_property
+    def cauchy_riemann_residual(self) -> float:
         """Centered-difference residual of the structure equation on a grid
-        whose spacing refines with the node count.
+        whose spacing refines with the node count, computed on first use.
 
         The solved map is conjugate-conformal, so the operator that must
         vanish is d/dx - i d/dy applied to the map.

@@ -11,7 +11,7 @@ import pytest
 
 from rootquilt import Lattice, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
-from rootquilt.cli import _join_negative_values, main
+from rootquilt.cli import _join_negative_values, build_parser, main
 from rootquilt.lattice import DEFAULT_POINT_CAP
 from rootquilt.suite import (
     Report,
@@ -451,6 +451,40 @@ def test_cli_abbreviated_count_options_keep_their_own_check(argv, message, capsy
     assert exit_.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+COMMON_DEFAULTS = {
+    "pair": "group-a1",
+    "catalog": None,
+    "tau": None,
+    "epsilon": None,
+    "radius": "3",
+    "format": "json",
+    "jobs": 1,
+    "tol": 1e-9,
+    "quad_nodes": 256,
+}
+OWN_OPTIONS = {
+    "verify": [],
+    "index": ["--q-in", "0", "--w-out", "e", "--q-out", "0"],
+    "filtration": [],
+    "product": ["--q1", "0", "--w", "e", "--q2", "0"],
+    "certify": [],
+    "triangle": ["--q", "0", "--w", "e"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+def test_every_shift_command_parses_the_common_options(command):
+    parser = build_parser()
+    args = parser.parse_args([command, "--pair", "group-a1", *OWN_OPTIONS[command]])
+    assert {key: getattr(args, key) for key in COMMON_DEFAULTS} == COMMON_DEFAULTS
+    given = ["--catalog", "c.json", "--tau", "1/8", "--epsilon", "1/40", "--radius", "2",
+             "--format", "tsv", "--jobs", "2", "--tol", "1e-6", "--quad-nodes", "64"]
+    args = parser.parse_args([command, "--pair", "p", *OWN_OPTIONS[command], *given])
+    assert (args.pair, args.catalog, args.tau, args.epsilon, args.radius, args.format,
+            args.jobs, args.tol, args.quad_nodes) == (
+        "p", "c.json", "1/8", "1/40", "2", "tsv", 2, 1e-6, 64)
 
 
 # -- shift validation messages ------------------------------------------------
