@@ -5,8 +5,11 @@ with multiplicities, a lattice basis, and a base regular point, all as exact
 rationals (integers or "p/q" strings).  Roots are produced by closing the
 seeds under reflections, so adding a pair needs no rebuild; each root found
 takes the multiplicity of the root it is the reflection of, so seeds whose
-Weyl orbits meet must agree.  Every structural assumption is re-validated on
-load, and a file that cannot be read or parsed is a ``SchemaError``.
+Weyl orbits meet must agree.  Every structural assumption is validated when
+an entry is built, and a file that cannot be read or parsed is a
+``SchemaError``.  The file is read on every load, but each entry is built
+once per process and catalog text, so loads of an unchanged file share
+read-only entries, and an edited file is validated afresh.
 
 ``CATALOG_SCHEMA`` is the one description of the file format.  A document is
 checked against it by ``_conforms``, a walker over the few JSON Schema
@@ -16,6 +19,7 @@ fails, to word the error exactly as its ``best_match`` does.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -163,7 +167,7 @@ _ROOT_COUNT = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     kind: str
@@ -302,21 +306,26 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
     )
 
 
-def _read_entries(path: str | None) -> list[dict]:
-    """Parse a catalog file and validate the whole document against the schema.
-
-    Returns the raw entries; building and validating each entry's system and
-    lattice is left to the caller, which may need only one of them.
-    """
+def _read_text(path: str | None) -> str:
+    """The catalog file's text (the built-in catalog's by default)."""
     if path is None:
-        text = resources.files("rootquilt").joinpath("data/catalog.json").read_text()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise SchemaError(f"cannot read catalog {path!r}: {reason}") from None
+        return resources.files("rootquilt").joinpath("data/catalog.json").read_text()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SchemaError(f"cannot read catalog {path!r}: {reason}") from None
+
+
+@functools.lru_cache(maxsize=16)
+def _validated(text: str) -> dict[str, dict]:
+    """Parse a catalog's text and validate the whole document against the schema.
+
+    Returns the raw entries by name, in file order; building and validating
+    each entry's system and lattice is left to ``_built``, since a caller may
+    need only one of them.  A failure raises and so is not cached.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -331,20 +340,36 @@ def _read_entries(path: str | None) -> list[dict]:
             raise SchemaError(
                 f"catalog failed schema validation at {error.json_path}: {error.message}"
             )
-    names = [raw["name"] for raw in doc["entries"]]
-    if len(set(names)) != len(names):
+    entries = {raw["name"]: raw for raw in doc["entries"]}
+    if len(entries) != len(doc["entries"]):
         raise SchemaError("duplicate entry names in catalog")
-    return doc["entries"]
+    return entries
+
+
+@functools.lru_cache(maxsize=64)
+def _built(text: str, name: str) -> CatalogEntry:
+    """The validated entry ``name`` of a catalog's text, built once per process."""
+    return _entry_from_raw(_validated(text)[name])
 
 
 def load_catalog(path: str | None = None) -> list[CatalogEntry]:
-    """Load and fully validate a catalog file (the built-in one by default)."""
-    return [_entry_from_raw(raw) for raw in _read_entries(path)]
+    """Load and fully validate a catalog file (the built-in one by default).
+
+    The file is read on every call; entries are validated and built once per
+    catalog text and shared, so they are read-only.  An edited file has a new
+    text and is validated afresh.
+    """
+    text = _read_text(path)
+    return [_built(text, name) for name in _validated(text)]
 
 
 def get_entry(name: str, path: str | None = None) -> CatalogEntry:
-    """Load one entry; the document is validated whole, only this entry is built."""
-    for raw in _read_entries(path):
-        if raw["name"] == name:
-            return _entry_from_raw(raw)
-    raise KeyError(f"no catalog entry named {name!r}")
+    """Load one entry; the document is validated whole, only this entry is built.
+
+    The entry is the same read-only object ``load_catalog`` returns for the
+    same catalog text.
+    """
+    text = _read_text(path)
+    if name not in _validated(text):
+        raise KeyError(f"no catalog entry named {name!r}")
+    return _built(text, name)

@@ -69,7 +69,7 @@ class WeylElement:
     def __call__(self, v: Vec) -> Vec:
         return mat_vec(self.matrix, v)
 
-    @property
+    @cached_property
     def name(self) -> str:
         if not self.word:
             return "e"
