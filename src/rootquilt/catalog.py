@@ -5,11 +5,8 @@ with multiplicities, a lattice basis, and a base regular point, all as exact
 rationals (integers or "p/q" strings).  Roots are produced by closing the
 seeds under reflections, so adding a pair needs no rebuild; each root found
 takes the multiplicity of the root it is the reflection of, so seeds whose
-Weyl orbits meet must agree.  Every structural assumption is validated when
-an entry is built, and a file that cannot be read or parsed is a
-``SchemaError``.  The file is read on every load, but each entry is built
-once per process and catalog text, so loads of an unchanged file share
-read-only entries, and an edited file is validated afresh.
+Weyl orbits meet must agree.  Every structural assumption is re-validated on
+load, and a file that cannot be read or parsed is a ``SchemaError``.
 
 ``CATALOG_SCHEMA`` is the one description of the file format.  A document is
 checked against it by ``_conforms``, a walker over the few JSON Schema
@@ -19,7 +16,6 @@ fails, to word the error exactly as its ``best_match`` does.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -128,9 +124,9 @@ def _conforms(doc, schema: dict) -> bool:
     Walks only the keywords in ``_KEYWORDS``; any other keyword raises
     ``ValueError``, so a schema edit cannot go unchecked.
     """
-    unknown = schema.keys() - _KEYWORDS
-    if unknown:
-        raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
+    if not _KEYWORDS.issuperset(schema):
+        unknown = sorted(schema.keys() - _KEYWORDS)
+        raise ValueError(f"schema keywords {unknown} are not supported")
     if "type" in schema:
         types = schema["type"]
         if not any(_TYPES[t](doc) for t in ([types] if isinstance(types, str) else types)):
@@ -167,7 +163,7 @@ _ROOT_COUNT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class CatalogEntry:
     name: str
     kind: str
@@ -199,20 +195,24 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
             raise InvariantViolation(f"seed {s} has zero squared length")
     if not leading_minors_positive(gram):
         raise InvariantViolation("gram matrix is not positive definite")
-    mult: dict[Vec, int] = {}
-    seed_of: dict[Vec, Vec] = {}
+    # roots[k] came from the orbit of seed_of[k] with multiplicity mults[k];
+    # index is the one lookup by vector, so each image is hashed once
+    index: dict[Vec, int] = {}
     roots: list[Vec] = []
     covectors: list[Vec] = []
+    mults: list[int] = []
+    seed_of: list[Vec] = []
 
     def found(root: Vec, m: int, seed: Vec) -> None:
-        if root not in mult:
-            if len(roots) == 10_000:
+        k = index.setdefault(root, len(roots))
+        if k == len(roots):
+            if k == 10_000:
                 raise InvariantViolation("orbit closure did not stabilize")
-            mult[root] = m
-            seed_of[root] = seed
             roots.append(root)
             covectors.append(mat_vec(gram, root))
-        elif mult[root] != m:
+            mults.append(m)
+            seed_of.append(seed)
+        elif mults[k] != m:
             raise InvariantViolation(f"conflicting multiplicities on orbit of {seed}")
 
     for s, m in seeds:
@@ -220,11 +220,10 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
         found(tuple(-x for x in s), m, s)
     for i, a in enumerate(roots):  # the list grows while it is walked
         for j in range(i + 1):
-            b = roots[j]
-            found(reflect(covectors[i], a, b), mult[b], seed_of[b])
+            found(reflect(covectors[i], a, roots[j]), mults[j], seed_of[j])
             if j < i:
-                found(reflect(covectors[j], b, a), mult[a], seed_of[a])
-    return mult
+                found(reflect(covectors[j], roots[j], a), mults[i], seed_of[i])
+    return dict(zip(roots, mults))
 
 
 def _parse_vec(raw) -> Vec:
@@ -306,26 +305,21 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
     )
 
 
-def _read_text(path: str | None) -> str:
-    """The catalog file's text (the built-in catalog's by default)."""
-    if path is None:
-        return resources.files("rootquilt").joinpath("data/catalog.json").read_text()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise SchemaError(f"cannot read catalog {path!r}: {reason}") from None
+def _read_entries(path: str | None) -> list[dict]:
+    """Parse a catalog file and validate the whole document against the schema.
 
-
-@functools.lru_cache(maxsize=16)
-def _validated(text: str) -> dict[str, dict]:
-    """Parse a catalog's text and validate the whole document against the schema.
-
-    Returns the raw entries by name, in file order; building and validating
-    each entry's system and lattice is left to ``_built``, since a caller may
-    need only one of them.  A failure raises and so is not cached.
+    Returns the raw entries; building and validating each entry's system and
+    lattice is left to the caller, which may need only one of them.
     """
+    if path is None:
+        text = resources.files("rootquilt").joinpath("data/catalog.json").read_text()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise SchemaError(f"cannot read catalog {path!r}: {reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -340,36 +334,20 @@ def _validated(text: str) -> dict[str, dict]:
             raise SchemaError(
                 f"catalog failed schema validation at {error.json_path}: {error.message}"
             )
-    entries = {raw["name"]: raw for raw in doc["entries"]}
-    if len(entries) != len(doc["entries"]):
+    names = [raw["name"] for raw in doc["entries"]]
+    if len(set(names)) != len(names):
         raise SchemaError("duplicate entry names in catalog")
-    return entries
-
-
-@functools.lru_cache(maxsize=64)
-def _built(text: str, name: str) -> CatalogEntry:
-    """The validated entry ``name`` of a catalog's text, built once per process."""
-    return _entry_from_raw(_validated(text)[name])
+    return doc["entries"]
 
 
 def load_catalog(path: str | None = None) -> list[CatalogEntry]:
-    """Load and fully validate a catalog file (the built-in one by default).
-
-    The file is read on every call; entries are validated and built once per
-    catalog text and shared, so they are read-only.  An edited file has a new
-    text and is validated afresh.
-    """
-    text = _read_text(path)
-    return [_built(text, name) for name in _validated(text)]
+    """Load and fully validate a catalog file (the built-in one by default)."""
+    return [_entry_from_raw(raw) for raw in _read_entries(path)]
 
 
 def get_entry(name: str, path: str | None = None) -> CatalogEntry:
-    """Load one entry; the document is validated whole, only this entry is built.
-
-    The entry is the same read-only object ``load_catalog`` returns for the
-    same catalog text.
-    """
-    text = _read_text(path)
-    if name not in _validated(text):
-        raise KeyError(f"no catalog entry named {name!r}")
-    return _built(text, name)
+    """Load one entry; the document is validated whole, only this entry is built."""
+    for raw in _read_entries(path):
+        if raw["name"] == name:
+            return _entry_from_raw(raw)
+    raise KeyError(f"no catalog entry named {name!r}")

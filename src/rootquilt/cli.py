@@ -10,7 +10,6 @@ invalid data (reported as ``error: ...`` on stderr).
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from fractions import Fraction
 
@@ -126,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.add_argument("--samples", type=_sample_count, default=500)
 
     return parser
-
-
-_parser = functools.cache(build_parser)  # one parser per process; parsing leaves it unchanged
 
 
 def _write(report: Report, fmt: str) -> None:
@@ -348,7 +344,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser().parse_args(_join_negative_values(argv))
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return _COMMANDS[args.command](args)
     except RootQuiltError as exc:

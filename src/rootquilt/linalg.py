@@ -49,7 +49,25 @@ def scale(c, u: Vec) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+    """The exact sum of products, reduced to lowest terms once at the end.
+
+    Summing ``Fraction`` products would normalise (one gcd) after every
+    product and every partial sum; here the terms are accumulated as one
+    integer numerator over a running denominator, which a term's denominator
+    multiplies only when it is neither 1 nor equal to it.
+    """
+    num, den = 0, 1
+    for a, b in zip(u, v, strict=True):
+        p = a.numerator * b.numerator
+        q = a.denominator * b.denominator
+        if q == den:
+            num += p
+        elif q == 1:
+            num += p * den
+        else:
+            num = num * q + p * den
+            den *= q
+    return Fraction(num, den)
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

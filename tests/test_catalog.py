@@ -52,14 +52,9 @@ def test_get_entry_builds_the_entry_load_catalog_builds(catalog):
         assert emit(run_suite(one, radius=F(2))) == emit(run_suite(full, radius=F(2)))
 
 
-def test_get_entry_missing_name_is_key_error(tmp_path):
-    load_catalog()
+def test_get_entry_missing_name_is_key_error():
     with pytest.raises(KeyError, match="no catalog entry named 'nope'"):
         get_entry("nope")
-    path = _write_catalog(tmp_path, [_a1_entry()])
-    load_catalog(path)
-    with pytest.raises(KeyError, match="no catalog entry named 'test-a2'"):
-        get_entry("test-a2", path)
 
 
 def test_get_entry_validates_the_whole_document(tmp_path):
@@ -555,7 +550,6 @@ def test_get_entry_reflects_each_ordered_pair_of_f4_roots_once(monkeypatch):
 
         return wrapper
 
-    _clear_catalog_memo()  # an entry built earlier in the session is shared, not rebuilt
     monkeypatch.setattr(catalog, "reflect", counting(catalog))
     monkeypatch.setattr(roots, "reflect", counting(roots))
     entry = get_entry("fi-f4", str(REPO / "bench" / "data" / "f4.json"))
@@ -564,81 +558,3 @@ def test_get_entry_reflects_each_ordered_pair_of_f4_roots_once(monkeypatch):
     # the system's own reflections build only the simple generators' root
     # permutations; the closure is not checked a second time
     assert calls["roots"] == 4 * 48
-
-
-# -- entries are built once per catalog text ----------------------------------
-
-
-def _clear_catalog_memo():
-    catalog._built.cache_clear()
-    catalog._validated.cache_clear()
-
-
-def _counting_builds(monkeypatch):
-    """Record the name of every entry built from here on."""
-    built = []
-    build = catalog._entry_from_raw
-
-    def counting(raw):
-        built.append(raw["name"])
-        return build(raw)
-
-    monkeypatch.setattr(catalog, "_entry_from_raw", counting)
-    return built
-
-
-def test_get_entry_after_load_catalog_builds_nothing(monkeypatch):
-    entries = load_catalog()
-    built = _counting_builds(monkeypatch)
-    for entry in entries:
-        assert get_entry(entry.name) is entry
-    assert all(again is entry for again, entry in zip(load_catalog(), entries, strict=True))
-    assert built == []
-
-
-def test_cold_load_builds_each_entry_once(monkeypatch):
-    _clear_catalog_memo()
-    built = _counting_builds(monkeypatch)
-    entries = load_catalog()
-    for entry in entries:
-        get_entry(entry.name)
-    assert built == [e.name for e in entries]
-
-
-def test_shared_entries_are_read_only(group_a1):
-    with pytest.raises(AttributeError):
-        group_a1.rank = 2
-
-
-def test_an_edited_catalog_file_is_validated_afresh(tmp_path, monkeypatch):
-    path = _write_catalog(tmp_path, [_a1_entry()])
-    first = get_entry("test-a1", path)
-    assert set(first.system.mult.values()) == {2}
-    built = _counting_builds(monkeypatch)
-    assert get_entry("test-a1", path) is first
-    _write_catalog(tmp_path, [_a1_entry(orbits=[{"seed": [1], "mult": 3}], dim_lambda=3)])
-    edited = get_entry("test-a1", path)
-    assert set(edited.system.mult.values()) == {3} and edited.dim_lambda == 3
-    assert [e is edited for e in load_catalog(path)] == [True]
-    assert built == ["test-a1"]
-
-
-def test_a_broken_catalog_raises_the_same_error_on_every_load(tmp_path):
-    path = _write_catalog(tmp_path, [_a1_entry()])
-    assert get_entry("test-a1", path).name == "test-a1"
-    entry = _a1_entry()
-    del entry["gram"]
-    _write_catalog(tmp_path, [entry])
-    for _ in range(2):
-        with pytest.raises(SchemaError) as exc:
-            get_entry("test-a1", path)
-        assert str(exc.value) == (
-            "catalog failed schema validation at $.entries[0]: 'gram' is a required property"
-        )
-    _write_catalog(tmp_path, [_a1_entry(dim_lambda=3)])
-    for _ in range(2):
-        with pytest.raises(InvariantViolation) as exc:
-            load_catalog(path)
-        assert str(exc.value) == (
-            "entry 'test-a1': total multiplicity 2 differs from declared dimension 3"
-        )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rootquilt.linalg import inverse, solve_unique
+from rootquilt.linalg import dot, inverse, solve_unique
 
 
 # Oracles: the hand-written eliminations that inverse and solve_unique ran
@@ -119,3 +119,27 @@ def _systems(draw):
 def test_solve_unique_matches_oracle(system):
     rows, rhs = system
     assert solve_unique(rows, rhs) == _old_solve_unique(rows, rhs)
+
+
+# Any denominators, so that equal, coprime and dividing ones all meet.
+WIDE_RATIONALS = st.integers(-9, 9) | st.builds(
+    F, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 6, 9, 12])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(WIDE_RATIONALS, WIDE_RATIONALS), max_size=5))
+@example([])
+@example([(F(1, 2), F(1, 3)), (F(1, 6), F(1)), (F(-1, 4), F(2, 3))])
+def test_dot_is_the_reduced_sum_of_products(pairs):
+    u = tuple(a for a, _ in pairs)
+    v = tuple(b for _, b in pairs)
+    got = dot(u, v)
+    expected = sum((a * b for a, b in pairs), F(0))
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_dot_refuses_vectors_of_different_lengths():
+    with pytest.raises(ValueError):
+        dot((F(1), F(2)), (F(1),))

@@ -256,3 +256,16 @@ def test_cli_report_digests(command, name, capsysbinary):
         assert main([command, "--pair", name, "--radius", str(r)]) == 0
         got.append(hashlib.sha256(capsysbinary.readouterr().out).hexdigest())
     assert tuple(got) == CLI_DIGESTS[command, name]
+
+
+def test_in_process_verify_in_any_order_matches_the_digests(capsysbinary):
+    """Commands run one after another in one process carry nothing into each other's bytes."""
+    expected = {(name, r): d for name, ds in DIGESTS.items() for r, d in enumerate(ds)}
+    expected.update(((name, 4), d) for name, d in DIGESTS_RADIUS_4.items())
+    by_pair = sorted(expected)
+    by_radius_down = sorted(expected, key=lambda key: (-key[1], key[0]))
+    for order in (by_pair, by_radius_down):
+        for name, r in order:
+            assert main(["verify", "--pair", name, "--radius", str(r)]) == 0
+            got = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+            assert got == expected[name, r], (name, r)

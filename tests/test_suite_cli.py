@@ -573,22 +573,6 @@ def test_pool_class_is_read_through_the_rebindable_module_attribute(monkeypatch,
 
 # -- one process, many commands -----------------------------------------------
 
-CATALOG_PAIRS = ("group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2")
-
-
-def test_in_process_verify_matches_a_fresh_process_in_any_order(capsysbinary):
-    """Shared catalog entries and the reused parser carry nothing into the bytes."""
-    commands = [("verify", "--pair", p, "--radius", str(r)) for p in CATALOG_PAIRS for r in range(5)]
-    fresh = {}
-    for argv in commands:
-        proc = run_cli(*argv)
-        fresh[argv] = (proc.returncode, proc.stdout)
-    interleaved = sorted(commands, key=lambda argv: (-int(argv[-1]), argv[2]))
-    for order in (commands, interleaved):
-        for argv in order:
-            code = main(list(argv))
-            assert (code, capsysbinary.readouterr().out) == fresh[argv], argv
-
 
 def test_verify_without_triangle_after_one_with_it_has_no_triangle_rows(capsys):
     argv = ["verify", "--pair", "group-a1", "--radius", "2"]
