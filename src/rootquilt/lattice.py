@@ -241,7 +241,9 @@ def canonical_shift(
     depend on epsilon, and a candidate fails on a floor boundary or on
     smallness exactly when some epsilon * 2*alpha(rho) is an integer or at
     least 1/2 in size.  So the first candidate passing these is valid, and
-    only it is validated.
+    only it is validated.  The scan runs in integers: with 2*alpha(rho) =
+    p/q in lowest terms and epsilon = 1/k, the value is an integer exactly
+    when q*k divides p, and at least 1/2 in size exactly when 2|p| >= q*k.
     """
     rho = weighted_root_sum(system)
     two_alpha_rho = [2 * system.pairing(al, rho) for al in system.roots]
@@ -249,15 +251,14 @@ def canonical_shift(
     signs_ok = all(v != 0 for v in two_alpha_rho) and not (
         small and any(system.pairing(beta, rho) <= 0 for beta in system.simple_roots)
     )
-    candidates = range(1, MAX_DENOMINATOR_INDEX + 1) if signs_ok else ()
-    for d in candidates:
-        eps = Fraction(1, 2 * d + 1)
-        values = [eps * v for v in two_alpha_rho]
-        if any(v.denominator == 1 for v in values):
+    pairs = [(v.numerator, v.denominator) for v in two_alpha_rho]
+    candidates = range(3, 2 * MAX_DENOMINATOR_INDEX + 2, 2) if signs_ok else ()
+    for k in candidates:
+        if any(p % (q * k) == 0 for p, q in pairs):
             continue
-        if small and any(abs(v) >= Fraction(1, 2) for v in values):
+        if small and any(2 * abs(p) >= q * k for p, q in pairs):
             continue
-        return validate_generic(system, lattice, scale(eps, rho), mode, radius)
+        return validate_generic(system, lattice, scale(Fraction(1, k), rho), mode, radius)
     raise InvariantViolation("no canonical shift found; data is degenerate")
 
 

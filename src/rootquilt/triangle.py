@@ -20,13 +20,18 @@ Three prevertices leave no accessory parameters; a Gauss-Jacobi rule for
 the weight (1 - x)^alpha absorbs the endpoint singularities.  Its nodes are
 the roots of the Jacobi polynomial P_n^(alpha, 0), found by Newton's method
 from closed-form guesses, with P_n evaluated by its three-term recurrence,
-so the rule needs numpy alone.  Other points are integrated along dyadic
-panels with the alpha = 0 case of the same builder, the Gauss-Legendre
-rule.  There the integrand is evaluated with square roots alone: every
-exponent is a multiple of 1/4, and inside the disk every factor has
-argument in (-pi/2, pi/2), so the principal roots of the products equal
-the principal powers.  Floating point is confined to this half; exact
-rationals are converted at the boundary.
+so the rule needs numpy alone.  Other points z are integrated along the
+path t z, cut at t = 1 - 2^-j for j = 1, ..., max(1, ceil(log2(2 / d)))
+with d the distance from z to the nearest prevertex, with the alpha = 0
+case of the same builder, the Gauss-Legendre rule, on each panel.  Every
+panel then lies at least its own length from every singularity, so the
+integrand is analytic inside the Bernstein ellipse rho = 2 + sqrt(5) of
+each panel and an m-point panel errs by O(rho^(-2m)).  There the
+integrand is evaluated with square roots alone: every exponent is a
+multiple of 1/4, and inside the disk every factor has argument in
+(-pi/2, pi/2), so the principal roots of the products equal the principal
+powers.  Floating point is confined to this half; exact rationals are
+converted at the boundary.
 """
 
 from __future__ import annotations
@@ -260,16 +265,24 @@ def _jacobi_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
     P_n comes from the three-term recurrence and P_n' from P_n and P_{n-1}
     by the differentiation identity, both from DLMF 18.9 with beta = 0.
+    The coefficients are built for every m at once, and the recurrence runs
+    in three preallocated arrays.
     """
     a = alpha
-    prev, cur = np.ones_like(x), ((a + 2.0) * x + a) / 2.0
-    for m in range(2, n + 1):
-        c = 2.0 * m + a
-        den = 2.0 * m * (m + a) * (c - 2.0)
-        slope = (c - 1.0) * c * (c - 2.0) / den
-        const = (c - 1.0) * a * a / den
-        back = 2.0 * (m + a - 1.0) * (m - 1.0) * c / den
-        prev, cur = cur, (slope * x + const) * cur - back * prev
+    m = np.arange(2, n + 1)
+    c = 2.0 * m + a
+    den = 2.0 * m * (m + a) * (c - 2.0)
+    slopes = (c - 1.0) * c * (c - 2.0) / den
+    consts = (c - 1.0) * a * a / den
+    backs = 2.0 * (m + a - 1.0) * (m - 1.0) * c / den
+    prev, cur, nxt = np.ones_like(x), ((a + 2.0) * x + a) / 2.0, np.empty_like(x)
+    for slope, const, back in zip(slopes.tolist(), consts.tolist(), backs.tolist()):
+        np.multiply(x, slope, out=nxt)
+        nxt += const
+        nxt *= cur
+        prev *= back
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
     c = 2.0 * n + a
     deriv = (n * (a - c * x) * cur + 2.0 * n * (n + a) * prev) / (c * (1.0 - x * x))
     return cur, deriv
@@ -362,11 +375,20 @@ class TriangleMapSolution:
     def _path_integrals(self, zs: np.ndarray) -> np.ndarray:
         """Integrals of the derivative along the straight paths from 0 to each point.
 
-        Each path is split into dyadic panels toward t = 1, more of them the
-        closer its endpoint lies to a prevertex.  Points with the same panel
-        count are evaluated together, one (points x panels x Gauss-Legendre
-        nodes) block at a time.  The origin and the prevertices themselves
-        take their exact values.
+        The path from 0 to z is t z for t in [0, 1], cut at 1 - 2^-j for
+        j = 1, ..., L with L = max(1, ceil(log2(2 / d))), where d is the
+        distance from z to the nearest prevertex.  Every singularity
+        t* = z_k / z of the integrand has |t*| >= 1 and |t* - 1| >= d, and
+        the last panel is at most d / 2 long, so every panel lies at least
+        its own length from every singularity.  Scaled to [-1, 1], the
+        integrand is then analytic inside the Bernstein ellipse
+        rho = 2 + sqrt(5), and an m-point Gauss-Legendre panel errs by
+        O(rho^(-2m)): about 1e-20 at 16 points and 8e-16 at 12.  Within
+        about 1e-9 of a prevertex the rounding of z t near t = 1 dominates
+        instead (about 1e-11 at d = 3e-10).  Points with the same panel
+        count are evaluated together, one (points x panels x nodes) block at
+        a time.  The origin and the prevertices themselves take their exact
+        values.
         """
         out = np.zeros(zs.shape, dtype=complex)
         gaps = np.abs(zs[:, None] - np.array(PREVERTICES)[None, :])
@@ -374,12 +396,8 @@ class TriangleMapSolution:
             out[gaps[:, k] < 1e-14] = corner_integral
         dist = gaps.min(axis=1)
         live = (zs != 0) & (dist >= 1e-14)
-        levels = np.full(zs.shape, 4)
-        near = live & (dist < 0.5)
-        levels[near] = [
-            min(52, 4 + int(math.ceil(math.log2(2.0 / max(d, 1e-15)))))
-            for d in dist[near].tolist()
-        ]
+        levels = np.ones(zs.shape, dtype=int)
+        levels[live] = np.maximum(1, np.ceil(np.log2(2.0 / dist[live])))
         for level in sorted(set(levels[live].tolist())):
             breaks = np.array([0.0] + [1.0 - 0.5**j for j in range(1, level + 1)] + [1.0])
             half = (breaks[1:] - breaks[:-1]) / 2.0

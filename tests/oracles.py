@@ -1,17 +1,32 @@
-"""The generic ``Fraction`` constructions that closed forms replaced, kept as oracles.
+"""The constructions that closed forms and faster paths replaced, kept as oracles.
 
 ``build_triple`` and ``plane_model`` below are the triangle model's exact
 half as it was before the closed forms: every subspace certified per call
-and every intersection found by elimination.  The differential tests
-compare the closed forms in ``rootquilt.triangle`` with them.
+and every intersection found by elimination.  ``jacobi_pair`` is the Jacobi
+recurrence as it was before it ran in place, ``segment_breaks`` the panel
+grading of the triangle map's path integrals before it followed the
+Gauss-Legendre error bound, and ``canonical_shift`` the epsilon scan as it
+was before it ran in integers.  The differential tests compare the code in
+``rootquilt`` with them.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from rootquilt.errors import Degenerate, InvariantViolation
 from rootquilt.indices import MonotoneData
-from rootquilt.lattice import GenericShift
-from rootquilt.linalg import Vec, add, matrix_rank, rref, solve_unique, sub, vec, zero_vec
+from rootquilt.lattice import (
+    MAX_DENOMINATOR_INDEX,
+    GenericShift,
+    Lattice,
+    Mode,
+    validate_generic,
+    weighted_root_sum,
+)
+from rootquilt.linalg import Vec, add, matrix_rank, rref, scale, solve_unique, sub, vec, zero_vec
+from rootquilt.roots import RestrictedRootSystem
 from rootquilt.roots import WeylElement
 from rootquilt.triangle import AffineLagrangianTriple, AffineSubspace, PlaneModel, _sympl
 
@@ -119,3 +134,65 @@ def plane_model(triple: AffineLagrangianTriple) -> PlaneModel:
         if rref(pulled) != rref(target):
             raise InvariantViolation("pulled-back boundary line is wrong")
     return model
+
+
+# -- the numerical half -----------------------------------------------------
+
+
+def jacobi_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n and P_n' of the Jacobi polynomial P^(alpha, 0), for n >= 1.
+
+    P_n comes from the three-term recurrence and P_n' from P_n and P_{n-1}
+    by the differentiation identity, both from DLMF 18.9 with beta = 0.
+    """
+    a = alpha
+    prev, cur = np.ones_like(x), ((a + 2.0) * x + a) / 2.0
+    for m in range(2, n + 1):
+        c = 2.0 * m + a
+        den = 2.0 * m * (m + a) * (c - 2.0)
+        slope = (c - 1.0) * c * (c - 2.0) / den
+        const = (c - 1.0) * a * a / den
+        back = 2.0 * (m + a - 1.0) * (m - 1.0) * c / den
+        prev, cur = cur, (slope * x + const) * cur - back * prev
+    c = 2.0 * n + a
+    deriv = (n * (a - c * x) * cur + 2.0 * n * (n + a) * prev) / (c * (1.0 - x * x))
+    return cur, deriv
+
+
+def segment_breaks(dist: float) -> np.ndarray:
+    """Dyadic refinement of [0, 1] toward t = 1, tuned to the distance
+    between the path endpoint and the nearest prevertex."""
+    if dist >= 0.5:
+        levels = 4
+    else:
+        levels = min(52, 4 + int(math.ceil(math.log2(2.0 / max(dist, 1e-15)))))
+    pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
+    return np.array(pts)
+
+
+# -- the shift ----------------------------------------------------------------
+
+
+def canonical_shift(
+    system: RestrictedRootSystem,
+    lattice: Lattice,
+    mode: Mode = Mode.SMALL_IN_CHAMBER,
+    radius: Fraction = Fraction(0),
+) -> GenericShift:
+    """The reproducible default shift epsilon * rho-dual."""
+    rho = weighted_root_sum(system)
+    two_alpha_rho = [2 * system.pairing(al, rho) for al in system.roots]
+    small = mode is Mode.SMALL_IN_CHAMBER
+    signs_ok = all(v != 0 for v in two_alpha_rho) and not (
+        small and any(system.pairing(beta, rho) <= 0 for beta in system.simple_roots)
+    )
+    candidates = range(1, MAX_DENOMINATOR_INDEX + 1) if signs_ok else ()
+    for d in candidates:
+        eps = Fraction(1, 2 * d + 1)
+        values = [eps * v for v in two_alpha_rho]
+        if any(v.denominator == 1 for v in values):
+            continue
+        if small and any(abs(v) >= Fraction(1, 2) for v in values):
+            continue
+        return validate_generic(system, lattice, scale(eps, rho), mode, radius)
+    raise InvariantViolation("no canonical shift found; data is degenerate")

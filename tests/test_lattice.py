@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rootquilt import (
     BudgetExceeded,
     FloorBoundary,
@@ -19,10 +20,13 @@ from rootquilt import (
     NotInChamber,
     NotRegular,
     NotSmall,
+    RestrictedRootSystem,
+    RootQuiltError,
     canonical_shift,
     chords,
     generators,
     get_entry,
+    load_catalog,
     validate_generic,
     weyl_action,
 )
@@ -479,3 +483,42 @@ def test_certification_enumerates_no_window(catalog, monkeypatch):
             validate_generic(group_a1.system, group_a1.lattice, a, Mode.SMALL_IN_CHAMBER, F(3))
     with pytest.raises(ValueError, match="radius must be non-negative"):
         validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), radius=F(-1, 2))
+
+
+# -- the integer epsilon scan against the Fraction scan it replaced -----------
+
+F4_CATALOG = str(Path(__file__).resolve().parent.parent / "bench" / "data" / "f4.json")
+
+
+def _scan_outcome(fn, system, lattice, mode, radius):
+    try:
+        shift = fn(system, lattice, mode, radius)
+    except RootQuiltError as exc:
+        return type(exc), str(exc)
+    return shift.a, shift.mode, shift.window_radius
+
+
+def _three_quarter_a1(mult):
+    """A1 with squared root length 3/4: 2*alpha(rho) = 3 mult / 2, so at
+    epsilon = 1/3 the value is exactly 1/2 (mult 1) or an integer (mult 2)."""
+    roots = [(F(1),), (F(-1),)]
+    system = RestrictedRootSystem(((F(3, 4),),), roots, {r: mult for r in roots}, (F(1),))
+    return system, Lattice(system, [(F(2),)])
+
+
+SCAN_CATALOGS = {"built-in": None, "extra": EXTRA_CATALOG, "f4": F4_CATALOG}
+
+
+@pytest.mark.parametrize("source", [*SCAN_CATALOGS, "three-quarter-a1"])
+def test_canonical_shift_matches_the_fraction_scan(source):
+    if source == "three-quarter-a1":
+        cases = [_three_quarter_a1(mult) for mult in (1, 2, 3)]
+    else:
+        cases = [(entry.system, entry.lattice) for entry in load_catalog(SCAN_CATALOGS[source])]
+    assert cases
+    for system, lattice in cases:
+        for mode in Mode:
+            for r in range(5):
+                want = _scan_outcome(oracles.canonical_shift, system, lattice, mode, F(r))
+                got = _scan_outcome(canonical_shift, system, lattice, mode, F(r))
+                assert got == want, (system.name, mode, r)

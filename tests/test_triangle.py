@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from rootquilt import (
     Degenerate,
     Mode,
@@ -242,17 +243,17 @@ def test_sc_derivative_matches_log_exp_product():
 
 
 def _segment_breaks(dist: float) -> np.ndarray:
-    """Dyadic refinement of [0, 1] toward t = 1, tuned to the distance
-    between the path endpoint and the nearest prevertex."""
-    if dist >= 0.5:
-        levels = 4
-    else:
-        levels = min(52, 4 + int(math.ceil(math.log2(2.0 / max(dist, 1e-15)))))
+    """Panel breaks 1 - 2^-j, j = 1..L, of [0, 1] toward t = 1, with
+    L = max(1, ceil(log2(2 / dist))) for the distance between the path
+    endpoint and the nearest prevertex, as in ``_path_integrals``."""
+    levels = max(1, math.ceil(math.log2(2.0 / dist)))
     pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
     return np.array(pts)
 
 
-def _scalar_path_integral(self, z: complex) -> complex:
+def _scalar_path_integral(
+    self, z: complex, breaks_of=_segment_breaks, kernel=_log_exp_sc_derivative
+) -> complex:
     """Integral of the derivative along the straight path from 0 to z."""
     if z == 0:
         return 0.0 + 0.0j
@@ -260,13 +261,13 @@ def _scalar_path_integral(self, z: complex) -> complex:
     for k, zk in enumerate(PREVERTICES):
         if abs(z - zk) < 1e-14:
             return self._corner_integrals[k]
-    breaks = _segment_breaks(dist)
+    breaks = breaks_of(dist)
     t0 = breaks[:-1]
     t1 = breaks[1:]
     half = (t1 - t0) / 2.0
     mid = (t1 + t0) / 2.0
     t = (mid[:, None] + half[:, None] * self._gl_nodes[None, :]).ravel()
-    vals = _log_exp_sc_derivative(z * t).reshape(len(t0), -1)
+    vals = kernel(z * t).reshape(len(t0), -1)
     per_panel = half * np.sum(vals * self._gl_weights[None, :], axis=1)
     return z * np.sum(per_panel)
 
@@ -292,6 +293,50 @@ def test_map_points_matches_scalar_path(nodes):
     assert batched.shape == zs.shape
     assert np.max(np.abs(batched - scalar)) <= 1e-14
     assert sol.map_point(zs[0]) == batched[0]
+
+
+@pytest.mark.parametrize("nodes", [64, 256])
+def test_graded_panels_match_the_dyadic_panels(nodes):
+    """The grading by the Gauss-Legendre error bound against the dyadic
+    grading it replaced (``oracles.segment_breaks``), both with the
+    square-root kernel, on the differential points and the hull and
+    boundary samples.
+
+    Points within 1e-6 of a prevertex are left out: the prevertices, which
+    take their exact values, and the differential points within 1e-9 of
+    one.  There the two gradings differ by up to 2.5e-12, and against
+    40-digit mpmath values both are about 1e-11 off at d = 3e-10 (old
+    1.10e-11, new 1.30e-11), because the rounding of z t near t = 1
+    dominates either quadrature error.
+    """
+    sol = solve_triangle(nodes)
+    rim = np.exp(1j * (np.arange(500) + 0.5) * 2.0 * math.pi / 500)
+    zs = np.concatenate([_differential_points(), interior_samples(500), rim])
+    dist = np.min(np.abs(zs[:, None] - np.array(PREVERTICES)[None, :]), axis=1)
+    assert np.all((dist >= 1e-6) | (dist <= 1e-9))
+    zs = zs[dist >= 1e-6]
+    dyadic = np.array([
+        sol.offset + sol.scale * _scalar_path_integral(
+            sol, np.conj(z), oracles.segment_breaks, _sc_derivative)
+        for z in zs
+    ])
+    assert np.max(np.abs(sol.map_points(zs) - dyadic)) <= 2e-15
+
+
+def test_hull_and_boundary_evaluation_counts(solved_256, monkeypatch):
+    sizes = []
+    kernel = triangle._sc_derivative
+
+    def counting(zeta):
+        sizes.append(zeta.size)
+        return kernel(zeta)
+
+    monkeypatch.setattr(triangle, "_sc_derivative", counting)
+    verify_hull(solved_256, samples=500)
+    hull = sum(sizes)
+    sizes.clear()
+    boundary_deviation(solved_256, samples=500)
+    assert (hull, sum(sizes)) == (26_672, 30_240)
 
 
 def test_map_points_keeps_input_shape(solved_256):
@@ -377,6 +422,15 @@ def test_gauss_jacobi_rule_matches_scipy(nodes, alpha):
     assert np.max(np.abs(x - xs)) <= 1e-15
     # scipy's own weights drift by up to 3e-8 relative at 1024 nodes
     assert np.max(np.abs(w - ws) / ws) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS)
+@pytest.mark.parametrize("nodes", (2, 16, 256, 1024))
+def test_in_place_recurrence_gives_the_same_rule(nodes, alpha, monkeypatch):
+    x, w = _gauss_jacobi.__wrapped__(nodes, alpha)
+    monkeypatch.setattr(triangle, "_jacobi_pair", oracles.jacobi_pair)
+    x_old, w_old = _gauss_jacobi.__wrapped__(nodes, alpha)
+    assert np.array_equal(x, x_old) and np.array_equal(w, w_old)
 
 
 def test_gauss_jacobi_rule_is_cached_read_only():
