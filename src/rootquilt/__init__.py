@@ -38,7 +38,6 @@ from .indices import (
     classify,
     default_tau,
     filtration_weight,
-    implication_violations,
     monotone_data,
     morse_index,
     parity_report,

@@ -10,27 +10,30 @@ Degrees are relative: only differences of floor sums are meaningful, so a
 fixed sign convention (floor sum over the positive system of w X0) is used
 throughout and no absolute grading is exposed.
 
-The per-datum functions evaluate each quantity directly in exact rational
-arithmetic.  ``IndexTable`` holds the same quantities over a whole window,
-built once per shift, as integers apart from the |W| filtration weights; the
-suite's sweeps and the ring certificates read the table, and the per-datum
-functions remain its oracles.  The table also certifies the action identity
-by linearity, which decides the implication and area sweeps without a
-per-generator action.
+Each per-generator quantity has one implementation: a read of the shift's
+``IndexTable``, integer floor sums over root indices plus one rational
+filtration weight per chamber element.  A per-datum call (``classify``,
+``relative_degree``, ``quilt_index``, ``ugly_index``, ``filtration_weight``,
+``morse_index``) reads per-root data and never enumerates the window, whose
+tables the suite's sweeps and the ring certificates build on first read.
+The table also certifies the action identity by linearity, which decides
+the implication and area sweeps without a per-generator action.  The direct
+``Fraction`` formulas are the oracles of the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import FloorBoundary, InvariantViolation, ModeMismatch, NotDominant, NotUgly
-from .lattice import GenericShift, Mode, weighted_root_sum
+from .errors import InvariantViolation, ModeMismatch, NotDominant, NotUgly
+from .lattice import GenericShift, Mode, reject_floor_boundaries, weighted_root_sum
 from .linalg import Vec, add, dot, gram_pair, mat_vec, scale, vec
 from .roots import RestrictedRootSystem, WeylElement
 
@@ -78,19 +81,13 @@ def monotone_data(system: RestrictedRootSystem, tau: Fraction | None = None) -> 
     return MonotoneData(system, tau, rho, x0)
 
 
-def _floor_term(system: RestrictedRootSystem, alpha: Vec, point: Vec) -> int:
-    value = 2 * system.pairing(alpha, point)
-    if value.denominator == 1:
-        raise FloorBoundary(alpha, point)
-    return math.floor(value)
-
-
 def relative_degree(w: WeylElement, q: Vec, shift: GenericShift) -> int:
-    """Floor sum of 2 alpha(q + a) over the positive system of w X0."""
-    system = shift.system
-    qa = add(q, shift.a)
-    pos = system.chamber_positive_system(w)
-    return sum(system.mult[al] * _floor_term(system, al, qa) for al in pos)
+    """Floor sum of 2 alpha(q + a) over the positive system of w X0.
+
+    q must be a lattice point: another point raises InvariantViolation.
+    """
+    table = index_table(shift)
+    return table.degree(table.position[w], table.floors_at(q))
 
 
 @dataclass(frozen=True)
@@ -121,9 +118,10 @@ def quilt_index(d: QuiltDatum) -> int:
     The input chamber element is determined by the input chord, via the
     chamber containing q_in + a.
     """
-    system = d.shift.system
-    w_in = system.chamber_of(add(d.q_in, d.shift.a))
-    return relative_degree(w_in, d.q_in, d.shift) - relative_degree(d.w_out, d.q_out, d.shift)
+    table = index_table(d.shift)
+    row_in, row_out = table.floors_at(d.q_in), table.floors_at(d.q_out)
+    deg_in = table.degree(table.chamber_index(row_in), row_in)
+    return deg_in - table.degree(table.position[d.w_out], row_out)
 
 
 class QuiltClass(enum.Enum):
@@ -132,50 +130,35 @@ class QuiltClass(enum.Enum):
 
 
 def classify(q: Vec, w: WeylElement, shift: GenericShift) -> QuiltClass:
-    """Bad when q + a lies in the w-image of the base chamber, else ugly."""
-    wq = shift.system.chamber_of(add(q, shift.a))
-    return QuiltClass.BAD if wq == w else QuiltClass.UGLY
+    """Bad when q + a lies in the w-image of the base chamber, else ugly.
+
+    q must be a lattice point: another point raises InvariantViolation.
+    """
+    table = index_table(shift)
+    bad = table.chamber_index(table.floors_at(q)) == table.position[w]
+    return QuiltClass.BAD if bad else QuiltClass.UGLY
 
 
 def ugly_index(q: Vec, w: WeylElement, shift: GenericShift) -> int:
-    """Index of an ugly datum, as a sum over sign-changing roots.
+    """Index of an ugly datum: deg(w_in, q) - deg(w, q), with w_in the
+    chamber element of q + a.
 
-    Strictly positive, and equal to the quilt index of the diagonal datum
-    (q_in = q_out = q, w_out = w); both facts are re-checked here.
+    The quilt index of the diagonal datum (q_in = q_out = q, w_out = w),
+    strictly positive by the proof in ``IndexTable``.  q must be a lattice
+    point: another point raises InvariantViolation.
     """
-    system = shift.system
-    if classify(q, w, shift) is QuiltClass.BAD:
+    table = index_table(shift)
+    row = table.floors_at(q)
+    w_in, k = table.chamber_index(row), table.position[w]
+    if w_in == k:
         raise NotUgly("datum is bad, not ugly")
-    qa = add(q, shift.a)
-    w_in = system.chamber_of(qa)
-    x_out = w(system.base_point)
-    total = 0
-    for al in system.chamber_positive_system(w_in):
-        if system.pairing(al, x_out) < 0:
-            val = 2 * system.pairing(al, qa)
-            if val.denominator == 1:
-                raise FloorBoundary(al, q)
-            total += system.mult[al] * (math.floor(val) - math.floor(-val))
-    cross = quilt_index(QuiltDatum(shift, q, w, q))
-    if total != cross:
-        raise InvariantViolation("ugly index disagrees with the quilt index")
-    if total <= 0:
-        raise InvariantViolation("ugly index failed strict positivity")
-    return total
-
-
-def frac(x: Fraction) -> Fraction:
-    return x - math.floor(x)
+    return table.degree(w_in, row) - table.degree(k, row)
 
 
 def filtration_weight(w: WeylElement, shift: GenericShift) -> Fraction:
     """Multiplicity-weighted fractional parts of 2 alpha(a) over R+ of w X0."""
-    system = shift.system
-    pos = system.chamber_positive_system(w)
-    return sum(
-        (system.mult[al] * frac(2 * system.pairing(al, shift.a)) for al in pos),
-        Fraction(0),
-    )
+    table = index_table(shift)
+    return table.filtration[table.position[w]]
 
 
 def zero_index_implication(
@@ -207,40 +190,6 @@ def zero_index_implication(
     if action_in <= action_out:
         return True
     return filtration_weight(w_in, shift) > filtration_weight(w_out, shift)
-
-
-ImplicationRow = tuple[int, Fraction, Fraction]  # (relative degree, action, filtration weight)
-
-
-def implication_violations(rows: Sequence[ImplicationRow]) -> tuple[int, tuple[int, int] | None]:
-    """Count the ordered pairs of rows on which ``zero_index_implication`` fails.
-
-    Row i holds the relative degree, the action and the filtration weight of
-    one generator.  The pair (i, j) violates the energy gap when the degrees
-    agree, the action drops strictly from i to j and the filtration does not.
-    Pairs of different degree hold trivially, so only pairs inside one
-    degree group are compared.  Returns the violation count and the first
-    violating pair in lexicographic order of (i, j), or None.
-
-    Quadratic in the rows.  ``verify`` never runs it:
-    ``IndexTable.certify_implication`` proves the count is 0, and this
-    pair loop stays the certificate's oracle.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, (degree, _, _) in enumerate(rows):
-        groups.setdefault(degree, []).append(i)
-    violations = 0
-    first: tuple[int, int] | None = None
-    for members in groups.values():
-        for i in members:
-            _, action_in, fil_in = rows[i]
-            for j in members:
-                _, action_out, fil_out = rows[j]
-                if action_in > action_out and not fil_in > fil_out:
-                    violations += 1
-                    if first is None or (i, j) < first:
-                        first = (i, j)
-    return violations, first
 
 
 def capping_maslov(system: RestrictedRootSystem, q: Vec) -> int:
@@ -276,30 +225,13 @@ def morse_index(w: WeylElement, shift: GenericShift) -> int:
     Computed two ways (negative-root multiplicity count and a floor sum)
     which must agree under the smallness hypothesis.
     """
-    if shift.mode is not Mode.SMALL_IN_CHAMBER:
-        raise ModeMismatch("morse_index requires a small-in-chamber shift")
-    system = shift.system
-    pos = system.chamber_positive_system(w)
-    by_count = sum(system.mult[al] for al in pos if system.pairing(al, shift.a) < 0)
-    by_floor = -sum(
-        system.mult[al] * math.floor(2 * system.pairing(al, shift.a)) for al in pos
-    )
-    if by_count != by_floor:
-        raise InvariantViolation("the two Morse index formulas disagree")
-    return by_count
+    table = index_table(shift)
+    return table.morse_index(table.position[w])
 
 
 def poincare_polynomial(shift: GenericShift) -> list[int]:
     """Coefficient k counts chamber elements of Morse index k."""
-    system = shift.system
-    return _poincare(system.dim_lambda(), [morse_index(w, shift) for w in system.weyl_group()])
-
-
-def _poincare(top: int, morse: Sequence[int]) -> list[int]:
-    coeffs = [0] * (top + 1)
-    for k in morse:
-        coeffs[k] += 1
-    return coeffs
+    return index_table(shift).poincare_polynomial()
 
 
 @dataclass(frozen=True)
@@ -328,43 +260,32 @@ def parity_report(shift: GenericShift, coefficients: str = "Z") -> ParityReport:
     undetermined here, unless working over the two-element field, which the
     ``coefficients`` flag selects.
     """
-    system = shift.system
-    degrees = [
-        relative_degree(w, q, shift)
-        for w in system.weyl_group()
-        for q in shift.window_points()
-    ]
-    return _parity(system.mult.values(), degrees, coefficients)
-
-
-def _parity(mults: Iterable[int], degrees: Sequence[int], coefficients: str) -> ParityReport:
-    all_even = all(m % 2 == 0 for m in mults)
-    even = sum(1 for d in degrees if d % 2 == 0)
-    odd = len(degrees) - even
-    if all_even:
-        if odd:
-            raise InvariantViolation("odd degree found although every multiplicity is even")
-        vanish: bool | None = True
-    elif coefficients.upper() == "Z2":
-        vanish = True
-    else:
-        vanish = None
-    return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
+    return index_table(shift).parity_report(coefficients)
 
 
 class IndexTable:
-    """Exact tables of one generic shift over its window.
+    """Exact tables of one generic shift, per root and over its window.
 
     Since 2*alpha(q) is an integer at every lattice point q, the floor terms
     f[q][alpha] = floor(2*alpha(q + a)) = 2*alpha(q) + floor(2*alpha(a)) are
-    integers read off two tables, and every per-datum quantity of ``verify``
-    is an integer sum over root indices:
+    integers read off two tables, and every per-datum quantity is an integer
+    sum over root indices:
 
     - deg(w, q) = sum over R+(w) of m_alpha f[q][alpha];
     - q + a lies in the chamber of the w whose positive system is the set of
       roots with f[q][alpha] >= 0, found by its sign mask;
-    - the ugly index of (q, w) is the sum over R+(w_in) minus R+(w) of
-      m_alpha (2 f[q][alpha] + 1), where w_in is the chamber of q + a.
+    - the ugly index of (q, w) is deg(w_in, q) - deg(w, q), where w_in is
+      the chamber element of q + a and w != w_in.
+
+    The ugly index is strictly positive.  A positive system holds one of
+    alpha and -alpha for every root, and the loader checks R = -R and
+    m(-alpha) = m(alpha).  So R+(w) is R+(w_in) with each flipped root alpha
+    (in R+(w_in) but not in R+(w)) replaced by -alpha, of the same
+    multiplicity.  Off the floor boundaries floor(-x) = -floor(x) - 1, so
+    the difference is the sum over the flipped alpha of
+    m_alpha (2 f[q][alpha] + 1).  Since q + a lies in the chamber of w_in,
+    every flipped f[q][alpha] is >= 0, and w != w_in flips at least one
+    root, so the sum is at least 1.
 
     The filtration weight fil(w), the sum over R+(w) of m_alpha
     frac(2*alpha(a)), is kept as one rational per chamber element.
@@ -382,10 +303,11 @@ class IndexTable:
     read through the root permutation of w^-1, and the rows determine the
     points; ``perms[k][iq]`` is the index of w_k(q) found that way.
 
+    The constructor builds per-root data alone, from which ``floors_at``,
+    ``chamber_index`` and ``degree`` answer for one lattice point; each
+    window table is built on first read, from the shift, held weakly.
     Window points are indexed in ``shift.window_points()`` order, chamber
-    elements in Weyl group order and roots in ``system.roots`` order.  The
-    per-datum functions of this module are the oracles these tables answer
-    for.
+    elements in Weyl group order and roots in ``system.roots`` order.
     """
 
     def __init__(self, shift: GenericShift):
@@ -393,39 +315,54 @@ class IndexTable:
         roots = system.roots
         group = self._group = system.weyl_group()
         two_alpha_a = [2 * system.pairing(al, shift.a) for al in roots]
-        for al, t in zip(roots, two_alpha_a):
-            if t.denominator == 1:
-                raise FloorBoundary(al, shift.a)
-        self._gram = system.gram
-        self._lattice = shift.lattice
-        self._a = shift.a
-        self.dim_lambda = system.dim_lambda()
-        self.small = shift.mode is Mode.SMALL_IN_CHAMBER
+        reject_floor_boundaries(roots, two_alpha_a)
+        self._shift = weakref.proxy(shift)  # weak: the shift owns the table
         self.mult: tuple[int, ...] = tuple(system.mult[al] for al in roots)
         self.floor_a: tuple[int, ...] = tuple(math.floor(t) for t in two_alpha_a)
-        # P[q][alpha] = 2*alpha(q), one row per window point
-        self.two_alpha_q = [shift.lattice.two_alpha(q) for q in shift.window_points()]
         self.positive = group.positive
-        self.floors = [
-            tuple(p + f for p, f in zip(row, self.floor_a)) for row in self.two_alpha_q
+        self.position: dict[WeylElement, int] = {w: k for k, w in enumerate(group)}
+        den = math.lcm(*(t.denominator for t in two_alpha_a))
+        frac_num = [int((t - f) * den) for t, f in zip(two_alpha_a, self.floor_a)]
+        self.filtration: list[Fraction] = [
+            Fraction(sum(self.mult[i] * frac_num[i] for i in pos), den) for pos in self.positive
         ]
-        self.chambers = [
-            group.by_mask[sum(1 << i for i, f in enumerate(row) if f >= 0)] for row in self.floors
-        ]
-        self.degrees = [
+
+    def floors_at(self, q: Vec) -> tuple[int, ...]:
+        """floor(2*alpha(q + a)) for every root, at a lattice point q."""
+        return tuple(p + f for p, f in zip(self._shift.lattice.two_alpha(q), self.floor_a))
+
+    def chamber_index(self, floors: Sequence[int]) -> int:
+        """The k with q + a in the chamber of w_k, from the floors of q."""
+        return self._group.by_mask[sum(1 << i for i, f in enumerate(floors) if f >= 0)]
+
+    def degree(self, k: int, floors: Sequence[int]) -> int:
+        """deg(w_k, q) from the floors of q."""
+        return sum(self.mult[i] * floors[i] for i in self.positive[k])
+
+    @cached_property
+    def two_alpha_q(self) -> list[tuple[int, ...]]:
+        """two_alpha_q[iq][alpha] = 2*alpha(q), one row per window point."""
+        return [self._shift.lattice.two_alpha(q) for q in self._shift.window_points()]
+
+    @cached_property
+    def floors(self) -> list[tuple[int, ...]]:
+        return [tuple(p + f for p, f in zip(row, self.floor_a)) for row in self.two_alpha_q]
+
+    @cached_property
+    def chambers(self) -> list[int]:
+        return [self.chamber_index(row) for row in self.floors]
+
+    @cached_property
+    def degrees(self) -> list[list[int]]:
+        return [
             [sum(self.mult[i] * row[i] for i in pos) for pos in self.positive]
             for row in self.floors
-        ]
-        self.filtration: list[Fraction] = [
-            sum((self.mult[i] * (two_alpha_a[i] - self.floor_a[i]) for i in pos), Fraction(0))
-            for pos in self.positive
         ]
 
     @cached_property
     def inverses(self) -> list[int]:
         """inverses[k] is the index of w_k^-1."""
-        position = {w: k for k, w in enumerate(self._group)}
-        return [position[self._group.inverse(w)] for w in self._group]
+        return [self.position[self._group.inverse(w)] for w in self._group]
 
     @cached_property
     def perms(self) -> list[tuple[int, ...]]:
@@ -455,18 +392,18 @@ class IndexTable:
     @cached_property
     def _basis_covectors(self) -> tuple[Vec, ...]:
         """G b for every lattice basis vector b."""
-        return tuple(mat_vec(self._gram, b) for b in self._lattice.basis)
+        return tuple(mat_vec(self._shift.system.gram, b) for b in self._shift.lattice.basis)
 
     @cached_property
     def _a_covector(self) -> Vec:
         """G a for the shift a."""
-        return mat_vec(self._gram, self._a)
+        return mat_vec(self._shift.system.gram, self._shift.a)
 
     def _pairs_on_basis(self, x: Vec, pos: Sequence[int], tau: Fraction) -> bool:
         """Whether <b, x> = tau * sum over pos of m_alpha 2*alpha(b) at every
         lattice basis vector b; both sides are linear in b, so then at every
         lattice point."""
-        two_alpha_b = self._lattice.two_alpha_basis
+        two_alpha_b = self._shift.lattice.two_alpha_basis
         return all(
             dot(gb, x) == tau * sum(self.mult[i] * two_alpha_b[i][j] for i in pos)
             for j, gb in enumerate(self._basis_covectors)
@@ -482,7 +419,7 @@ class IndexTable:
         m_alpha (2*alpha(q) + floor(2*alpha(a))), so these |W| * (rank + 1)
         pairings prove it at every generator.  With tau > 0, equal degrees
         and a strict action drop then force a strict filtration drop, so
-        ``implication_violations`` of the generators' rows is (0, None).
+        no pair of generators violates the implication.
         False means only that the certificate failed, not that some pair
         violates the implication.
         """
@@ -505,23 +442,9 @@ class IndexTable:
         """
         return self._pairs_on_basis(x0, self.positive[0], tau)
 
-    def ugly_index(self, iq: int, iw: int) -> int:
-        """``ugly_index`` of window point iq against chamber element iw."""
-        w_in = self.chambers[iq]
-        if w_in == iw:
-            raise NotUgly("datum is bad, not ugly")
-        row = self.floors[iq]
-        flipped = [i for i in self.positive[w_in] if i not in self.positive[iw]]
-        total = sum(self.mult[i] * (2 * row[i] + 1) for i in flipped)
-        if total != self.degrees[iq][w_in] - self.degrees[iq][iw]:
-            raise InvariantViolation("ugly index disagrees with the quilt index")
-        if total <= 0:
-            raise InvariantViolation("ugly index failed strict positivity")
-        return total
-
     def morse_index(self, iw: int) -> int:
         """``morse_index`` of chamber element iw."""
-        if not self.small:
+        if self._shift.mode is not Mode.SMALL_IN_CHAMBER:
             raise ModeMismatch("morse_index requires a small-in-chamber shift")
         pos = self.positive[iw]
         by_count = sum(self.mult[i] for i in pos if self.floor_a[i] < 0)
@@ -532,12 +455,26 @@ class IndexTable:
 
     def poincare_polynomial(self) -> list[int]:
         """``poincare_polynomial`` of the shift."""
-        morse = [self.morse_index(iw) for iw in range(len(self.positive))]
-        return _poincare(self.dim_lambda, morse)
+        coeffs = [0] * (self._shift.system.dim_lambda() + 1)
+        for iw in range(len(self.positive)):
+            coeffs[self.morse_index(iw)] += 1
+        return coeffs
 
     def parity_report(self, coefficients: str = "Z") -> ParityReport:
         """``parity_report`` of the shift."""
-        return _parity(self.mult, [d for row in self.degrees for d in row], coefficients)
+        all_even = all(m % 2 == 0 for m in self.mult)
+        degrees = [d for row in self.degrees for d in row]
+        even = sum(1 for d in degrees if d % 2 == 0)
+        odd = len(degrees) - even
+        if all_even:
+            if odd:
+                raise InvariantViolation("odd degree found although every multiplicity is even")
+            vanish: bool | None = True
+        elif coefficients.upper() == "Z2":
+            vanish = True
+        else:
+            vanish = None
+        return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
 
 
 def index_table(shift: GenericShift) -> IndexTable:

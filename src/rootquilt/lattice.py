@@ -167,6 +167,16 @@ class GenericShift:
         return self._points
 
 
+def reject_floor_boundaries(roots: Sequence[Vec], two_alpha_a: Sequence[Fraction]) -> None:
+    """Raise FloorBoundary, named at the origin, at the first integer 2*alpha(a)."""
+    for al, val in zip(roots, two_alpha_a):
+        if val.denominator == 1:
+            origin = zero_vec(len(al))
+            raise FloorBoundary(
+                al, origin, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(origin)}"
+            )
+
+
 def validate_generic(
     system: RestrictedRootSystem,
     lattice: Lattice,
@@ -200,12 +210,7 @@ def validate_generic(
     if radius < 0:
         raise ValueError("radius must be non-negative")
     two_alpha_a = [2 * system.pairing(al, a) for al in system.roots]
-    origin = zero_vec(system.rank)
-    for al, val in zip(system.roots, two_alpha_a):
-        if val.denominator == 1:
-            raise FloorBoundary(
-                al, origin, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(origin)}"
-            )
+    reject_floor_boundaries(system.roots, two_alpha_a)
     if mode is Mode.SMALL_IN_CHAMBER:
         for beta in system.simple_roots:
             if system.pairing(beta, a) <= 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInImplementedSector, WindowTooSmall
-from .indices import filtration_weight, index_table
+from .indices import index_table
 from .lattice import GenericShift, Generator
 from .linalg import Vec, add, sub
 from .roots import WeylElement
@@ -118,10 +118,12 @@ def leading_term(q: Vec, shift: GenericShift) -> LeadingTerm:
     """The chamber element of q + a and its filtration weight.
 
     The image of the chord q is this generator up to sign, plus terms of
-    strictly smaller filtration which are not computed here.
+    strictly smaller filtration which are not computed here.  q must be a
+    lattice point: another point raises InvariantViolation.
     """
-    w = shift.system.chamber_of(add(q, shift.a))
-    return LeadingTerm(q, w, filtration_weight(w, shift))
+    table = index_table(shift)
+    k = table.chamber_index(table.floors_at(q))
+    return LeadingTerm(q, shift.system.weyl_group().elements[k], table.filtration[k])
 
 
 @dataclass(frozen=True)
@@ -149,15 +151,6 @@ class TriangularityCertificate:
     @property
     def complete(self) -> bool:
         return not self.uncovered
-
-
-def chamber_witnesses(shift: GenericShift) -> dict[WeylElement, Vec]:
-    """First window point landing in each chamber, in window order."""
-    elements = shift.system.weyl_group().elements
-    witnesses: dict[WeylElement, Vec] = {}
-    for q, iw in zip(shift.window_points(), index_table(shift).chambers):
-        witnesses.setdefault(elements[iw], q)
-    return witnesses
 
 
 def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:

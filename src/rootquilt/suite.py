@@ -5,9 +5,7 @@ The per-datum sweeps read the shift's index table (``indices.index_table``),
 built once per run: the bad/ugly sweep, the filtration table, the parity and
 Poincare censuses, and the ring certificates.  The implication and area
 sweeps are certified on the table by linearity, with a few pairings per
-chamber element, and no action is computed per generator.  The Fraction
-functions of ``indices`` that the table replaces stay the public oracles
-and are not called here.
+chamber element, and no action is computed per generator.
 
 The bad/ugly sweep may be partitioned across worker processes with ``jobs``;
 tasks are enumerated in a fixed order and results merged in that order, so
@@ -26,19 +24,10 @@ import json
 
 from .catalog import CatalogEntry
 from .errors import InvariantViolation, RootQuiltError
-from .indices import (
-    ImplicationRow,
-    IndexTable,
-    MonotoneData,
-    QuiltClass,
-    implication_violations,
-    index_table,
-    monotone_data,
-)
+from .indices import IndexTable, MonotoneData, QuiltClass, index_table, monotone_data
 from .lattice import GenericShift, Mode, canonical_shift, validate_generic, weighted_root_sum
 from .linalg import Vec, format_rational, format_vec, scale
 from .ring import finitely_generated_witness, r_module_basis_check, triangularity_certificate
-from .roots import WeylElement
 from .triangle import boundary_deviation, build_triple, plane_model, solve_triangle, verify_hull
 
 REPORT_SCHEMA_ID = "quilt-suite-report/v1"
@@ -172,13 +161,14 @@ def _parallel_map(fn, ctx, tasks: list, jobs: int) -> list:
     return [r for part in parts for r in part]
 
 
-def _bad_ugly_task(table: IndexTable, task: tuple[int, int]):
+def _bad_ugly_task(lists: tuple[list[int], list[list[int]]], task: tuple[int, int]):
+    """The index of the datum (q, w, q) from the table's chambers and degrees."""
+    chambers, degrees = lists
     iq, iw = task
-    w_in = table.chambers[iq]
+    w_in = chambers[iq]
+    idx = degrees[iq][w_in] - degrees[iq][iw]
     if w_in == iw:
-        idx = table.degrees[iq][w_in] - table.degrees[iq][iw]
         return iq, iw, QuiltClass.BAD.value, idx, idx == 0
-    idx = table.ugly_index(iq, iw)  # re-checks idx == the quilt index internally
     return iq, iw, QuiltClass.UGLY.value, idx, idx >= 1
 
 
@@ -204,31 +194,6 @@ def _add_bad_ugly_sweep(report: Report, results: list, points: list[Vec], elemen
     if first_failure is not None:
         detail += f"; first failure {first_failure}"
     report.add_check("bad_ugly_sweep", first_failure is None, detail)
-
-
-def _add_implication_sweep(
-    report: Report, rows: list[ImplicationRow], points: list[Vec], elements: tuple[WeylElement, ...]
-) -> None:
-    """Report the implication over every ordered pair of generators, pair by
-    pair: the oracle of ``_add_implication_check``, which ``verify`` runs.
-
-    ``rows[i]`` tabulates the generator (``points[i // |W|]``,
-    ``elements[i % |W|]``); a failing check names the first violating pair
-    in the order of the rows.
-    """
-    checked = len(rows) ** 2
-    violations, first = implication_violations(rows)
-    report.add_row("implication", "checked", checked)
-    report.add_row("implication", "holds", checked - violations)
-    detail = f"{checked} data pairs"
-    if first is not None:
-        order = len(elements)
-        (q_in, w_in), (q_out, w_out) = ((points[i // order], elements[i % order]) for i in first)
-        detail += (
-            f"; first violation ({w_in.name};{format_vec(q_in)})"
-            f" -> ({w_out.name};{format_vec(q_out)})"
-        )
-    report.add_check("implication_sweep", violations == 0, detail)
 
 
 def _add_implication_check(
@@ -359,7 +324,7 @@ def _run_suite(
     stage["check"] = "bad_ugly_sweep"
     table = index_table(shift)
     tasks = [(iq, iw) for iq in range(len(points)) for iw in range(group.order)]
-    results = _parallel_map(_bad_ugly_task, table, tasks, jobs)
+    results = _parallel_map(_bad_ugly_task, (table.chambers, table.degrees), tasks, jobs)
     _add_bad_ugly_sweep(report, results, points, group.elements)
 
     # filtration table

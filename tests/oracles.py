@@ -6,17 +6,35 @@ and every intersection found by elimination.  ``jacobi_pair`` is the Jacobi
 recurrence as it was before it ran in place, ``segment_breaks`` the panel
 grading of the triangle map's path integrals before it followed the
 Gauss-Legendre error bound, and ``canonical_shift`` the epsilon scan as it
-was before it ran in integers.  The differential tests compare the code in
-``rootquilt`` with them.
+was before it ran in integers.
+
+The per-datum index quantities (``relative_degree``, ``classify``,
+``quilt_index``, ``ugly_index``, ``filtration_weight``, ``morse_index``,
+``poincare_polynomial``, ``parity_report`` and ``leading_term``) are the
+direct ``Fraction`` formulas that ``rootquilt`` replaced by reads of the
+shift's integer index table, each evaluated from the roots, the pairing
+and ``chamber_of``.  Unlike the table they accept any point, on the lattice
+or not.  ``implication_violations`` and ``add_implication_sweep`` are the
+quadratic pair loop that the implication certificate replaced, and
+``chamber_witnesses`` the first window point in each chamber, found by
+``chamber_of``.  The differential tests compare the code in ``rootquilt``
+with all of them.
 """
 
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from rootquilt.errors import Degenerate, InvariantViolation
-from rootquilt.indices import MonotoneData
+from rootquilt.errors import (
+    Degenerate,
+    FloorBoundary,
+    InvariantViolation,
+    ModeMismatch,
+    NotUgly,
+)
+from rootquilt.indices import MonotoneData, ParityReport, QuiltClass, QuiltDatum
 from rootquilt.lattice import (
     MAX_DENOMINATOR_INDEX,
     GenericShift,
@@ -25,9 +43,22 @@ from rootquilt.lattice import (
     validate_generic,
     weighted_root_sum,
 )
-from rootquilt.linalg import Vec, add, matrix_rank, rref, scale, solve_unique, sub, vec, zero_vec
+from rootquilt.linalg import (
+    Vec,
+    add,
+    format_vec,
+    matrix_rank,
+    rref,
+    scale,
+    solve_unique,
+    sub,
+    vec,
+    zero_vec,
+)
+from rootquilt.ring import LeadingTerm
 from rootquilt.roots import RestrictedRootSystem
 from rootquilt.roots import WeylElement
+from rootquilt.suite import Report
 from rootquilt.triangle import AffineLagrangianTriple, AffineSubspace, PlaneModel, _sympl
 
 
@@ -196,3 +227,220 @@ def canonical_shift(
             continue
         return validate_generic(system, lattice, scale(eps, rho), mode, radius)
     raise InvariantViolation("no canonical shift found; data is degenerate")
+
+
+# -- the per-datum index quantities -------------------------------------------
+
+
+def _floor_term(system: RestrictedRootSystem, alpha: Vec, point: Vec) -> int:
+    value = 2 * system.pairing(alpha, point)
+    if value.denominator == 1:
+        raise FloorBoundary(alpha, point)
+    return math.floor(value)
+
+
+def relative_degree(w: WeylElement, q: Vec, shift: GenericShift) -> int:
+    """Floor sum of 2 alpha(q + a) over the positive system of w X0."""
+    system = shift.system
+    qa = add(q, shift.a)
+    pos = system.chamber_positive_system(w)
+    return sum(system.mult[al] * _floor_term(system, al, qa) for al in pos)
+
+
+def quilt_index(d: QuiltDatum) -> int:
+    """Fredholm index: floor sum at the input minus floor sum at the output.
+
+    The input chamber element is determined by the input chord, via the
+    chamber containing q_in + a.
+    """
+    system = d.shift.system
+    w_in = system.chamber_of(add(d.q_in, d.shift.a))
+    return relative_degree(w_in, d.q_in, d.shift) - relative_degree(d.w_out, d.q_out, d.shift)
+
+
+def classify(q: Vec, w: WeylElement, shift: GenericShift) -> QuiltClass:
+    """Bad when q + a lies in the w-image of the base chamber, else ugly."""
+    wq = shift.system.chamber_of(add(q, shift.a))
+    return QuiltClass.BAD if wq == w else QuiltClass.UGLY
+
+
+def ugly_index(q: Vec, w: WeylElement, shift: GenericShift) -> int:
+    """Index of an ugly datum, as a sum over sign-changing roots.
+
+    Strictly positive, and equal to the quilt index of the diagonal datum
+    (q_in = q_out = q, w_out = w); both facts are re-checked here.
+    """
+    system = shift.system
+    if classify(q, w, shift) is QuiltClass.BAD:
+        raise NotUgly("datum is bad, not ugly")
+    qa = add(q, shift.a)
+    w_in = system.chamber_of(qa)
+    x_out = w(system.base_point)
+    total = 0
+    for al in system.chamber_positive_system(w_in):
+        if system.pairing(al, x_out) < 0:
+            val = 2 * system.pairing(al, qa)
+            if val.denominator == 1:
+                raise FloorBoundary(al, q)
+            total += system.mult[al] * (math.floor(val) - math.floor(-val))
+    cross = quilt_index(QuiltDatum(shift, q, w, q))
+    if total != cross:
+        raise InvariantViolation("ugly index disagrees with the quilt index")
+    if total <= 0:
+        raise InvariantViolation("ugly index failed strict positivity")
+    return total
+
+
+def frac(x: Fraction) -> Fraction:
+    return x - math.floor(x)
+
+
+def filtration_weight(w: WeylElement, shift: GenericShift) -> Fraction:
+    """Multiplicity-weighted fractional parts of 2 alpha(a) over R+ of w X0."""
+    system = shift.system
+    pos = system.chamber_positive_system(w)
+    return sum(
+        (system.mult[al] * frac(2 * system.pairing(al, shift.a)) for al in pos),
+        Fraction(0),
+    )
+
+
+def morse_index(w: WeylElement, shift: GenericShift) -> int:
+    """Morse index of the critical point w X0 of the height function.
+
+    Computed two ways (negative-root multiplicity count and a floor sum)
+    which must agree under the smallness hypothesis.
+    """
+    if shift.mode is not Mode.SMALL_IN_CHAMBER:
+        raise ModeMismatch("morse_index requires a small-in-chamber shift")
+    system = shift.system
+    pos = system.chamber_positive_system(w)
+    by_count = sum(system.mult[al] for al in pos if system.pairing(al, shift.a) < 0)
+    by_floor = -sum(
+        system.mult[al] * math.floor(2 * system.pairing(al, shift.a)) for al in pos
+    )
+    if by_count != by_floor:
+        raise InvariantViolation("the two Morse index formulas disagree")
+    return by_count
+
+
+def poincare_polynomial(shift: GenericShift) -> list[int]:
+    """Coefficient k counts chamber elements of Morse index k."""
+    system = shift.system
+    return _poincare(system.dim_lambda(), [morse_index(w, shift) for w in system.weyl_group()])
+
+
+def _poincare(top: int, morse: Sequence[int]) -> list[int]:
+    coeffs = [0] * (top + 1)
+    for k in morse:
+        coeffs[k] += 1
+    return coeffs
+
+
+def parity_report(shift: GenericShift, coefficients: str = "Z") -> ParityReport:
+    """Census of relative degrees deg(w, q) over the validated window.
+
+    With every multiplicity even the degrees are all even and the
+    differential vanishes for any coefficients.  Otherwise vanishing is
+    undetermined here, unless working over the two-element field, which the
+    ``coefficients`` flag selects.
+    """
+    system = shift.system
+    degrees = [
+        relative_degree(w, q, shift)
+        for w in system.weyl_group()
+        for q in shift.window_points()
+    ]
+    return _parity(system.mult.values(), degrees, coefficients)
+
+
+def _parity(mults: Iterable[int], degrees: Sequence[int], coefficients: str) -> ParityReport:
+    all_even = all(m % 2 == 0 for m in mults)
+    even = sum(1 for d in degrees if d % 2 == 0)
+    odd = len(degrees) - even
+    if all_even:
+        if odd:
+            raise InvariantViolation("odd degree found although every multiplicity is even")
+        vanish: bool | None = True
+    elif coefficients.upper() == "Z2":
+        vanish = True
+    else:
+        vanish = None
+    return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
+
+
+ImplicationRow = tuple[int, Fraction, Fraction]  # (relative degree, action, filtration weight)
+
+
+def implication_violations(rows: Sequence[ImplicationRow]) -> tuple[int, tuple[int, int] | None]:
+    """Count the ordered pairs of rows on which ``zero_index_implication`` fails.
+
+    Row i holds the relative degree, the action and the filtration weight of
+    one generator.  The pair (i, j) violates the energy gap when the degrees
+    agree, the action drops strictly from i to j and the filtration does not.
+    Pairs of different degree hold trivially, so only pairs inside one
+    degree group are compared.  Returns the violation count and the first
+    violating pair in lexicographic order of (i, j), or None.
+
+    Quadratic in the rows.  ``verify`` never runs it:
+    ``IndexTable.certify_implication`` proves the count is 0, and this
+    pair loop stays the certificate's oracle.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (degree, _, _) in enumerate(rows):
+        groups.setdefault(degree, []).append(i)
+    violations = 0
+    first: tuple[int, int] | None = None
+    for members in groups.values():
+        for i in members:
+            _, action_in, fil_in = rows[i]
+            for j in members:
+                _, action_out, fil_out = rows[j]
+                if action_in > action_out and not fil_in > fil_out:
+                    violations += 1
+                    if first is None or (i, j) < first:
+                        first = (i, j)
+    return violations, first
+
+
+def leading_term(q: Vec, shift: GenericShift) -> LeadingTerm:
+    """The chamber element of q + a and its filtration weight.
+
+    The image of the chord q is this generator up to sign, plus terms of
+    strictly smaller filtration which are not computed here.
+    """
+    w = shift.system.chamber_of(add(q, shift.a))
+    return LeadingTerm(q, w, filtration_weight(w, shift))
+
+
+def chamber_witnesses(shift: GenericShift) -> dict[WeylElement, Vec]:
+    """First window point landing in each chamber, in window order."""
+    witnesses: dict[WeylElement, Vec] = {}
+    for q in shift.window_points():
+        witnesses.setdefault(shift.system.chamber_of(add(q, shift.a)), q)
+    return witnesses
+
+
+def add_implication_sweep(
+    report: Report, rows: list[ImplicationRow], points: list[Vec], elements: tuple[WeylElement, ...]
+) -> None:
+    """Report the implication over every ordered pair of generators, pair by
+    pair: the oracle of ``suite._add_implication_check``, which ``verify`` runs.
+
+    ``rows[i]`` tabulates the generator (``points[i // |W|]``,
+    ``elements[i % |W|]``); a failing check names the first violating pair
+    in the order of the rows.
+    """
+    checked = len(rows) ** 2
+    violations, first = implication_violations(rows)
+    report.add_row("implication", "checked", checked)
+    report.add_row("implication", "holds", checked - violations)
+    detail = f"{checked} data pairs"
+    if first is not None:
+        order = len(elements)
+        (q_in, w_in), (q_out, w_out) = ((points[i // order], elements[i % order]) for i in first)
+        detail += (
+            f"; first violation ({w_in.name};{format_vec(q_in)})"
+            f" -> ({w_out.name};{format_vec(q_out)})"
+        )
+    report.add_check("implication_sweep", violations == 0, detail)

@@ -1,12 +1,16 @@
 """Index formula, bad/ugly classification, filtration, Morse and parity."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from rootquilt import (
     FloorBoundary,
     InvariantViolation,
@@ -22,7 +26,7 @@ from rootquilt import (
     default_tau,
     filtration_weight,
     get_entry,
-    implication_violations,
+    leading_term,
     monotone_data,
     morse_index,
     parity_report,
@@ -38,6 +42,10 @@ from rootquilt.lattice import GenericShift, canonical_shift
 from rootquilt.suite import run_suite
 
 from conftest import make_rank1, make_rank1_lattice
+
+ROOT = Path(__file__).resolve().parent.parent
+EXTRA_CATALOG = str(ROOT / "tests" / "data" / "extra_catalog.json")
+F4_CATALOG = str(ROOT / "bench" / "data" / "f4.json")
 
 
 def test_default_tau_matches_worked_normalization(group_a1):
@@ -213,20 +221,20 @@ def test_implication_table_matches_pairwise_oracle(name, radius):
 
 def test_implication_violations_equal_actions_hold():
     rows = [(0, F(1), F(0)), (0, F(1), F(5)), (0, F(1), F(5))]
-    assert implication_violations(rows) == (0, None)
+    assert oracles.implication_violations(rows) == (0, None)
 
 
 def test_implication_violations_equal_filtrations_with_action_drop():
     rows = [(0, F(2), F(1, 3)), (0, F(1), F(1, 3))]
     # (0, 1) drops the action but not the filtration; (1, 0) raises the action
-    assert implication_violations(rows) == (1, (0, 1))
+    assert oracles.implication_violations(rows) == (1, (0, 1))
 
 
 def test_implication_violations_over_two_degree_groups():
     rows = [(0, F(5), F(0)), (1, F(3), F(0)), (0, F(1), F(1)), (1, F(1), F(0))]
     # (0, 2) in degree 0 and (1, 3) in degree 1 violate; (1, 2) drops the
     # action without a filtration drop too, but its degrees differ
-    assert implication_violations(rows) == (2, (0, 2))
+    assert oracles.implication_violations(rows) == (2, (0, 2))
 
 
 _row = st.tuples(
@@ -242,7 +250,7 @@ def test_implication_violations_match_brute_force(rows):
         for j, (deg_out, act_out, fil_out) in enumerate(rows)
         if deg_in == deg_out and act_in > act_out and not fil_in > fil_out
     ]
-    assert implication_violations(rows) == (len(bad), bad[0] if bad else None)
+    assert oracles.implication_violations(rows) == (len(bad), bad[0] if bad else None)
 
 
 def test_capping_worked_values(group_a1):
@@ -393,56 +401,161 @@ def test_group_a2_canonical_hand_oracle(group_a2):
     assert ugly_index(q, s1, shift) == 24
 
 
-# -- the integer tables against the per-datum functions they replace --------
+# -- the table lookups against the Fraction formulas they replace ------------
 
 
-def _assert_table_matches_oracles(shift):
-    sys_ = shift.system
-    group = sys_.weyl_group()
+def _assert_lookups_match_oracles(shift):
+    """Every public per-datum lookup, and the window tables the suite reads,
+    against the oracles in ``tests/oracles.py`` at every datum (q, w, q),
+    and the quilt index at (q, w, q') with q' the mirrored window point."""
+    group = shift.system.weyl_group()
     table = index_table(shift)
-    for iq, q in enumerate(shift.window_points()):
-        w_in = group.elements[table.chambers[iq]]
-        assert w_in == sys_.chamber_of(tuple(x + y for x, y in zip(q, shift.a)))
+    points = shift.window_points()
+    for iq, q in enumerate(points):
+        lt = leading_term(q, shift)
+        assert lt == oracles.leading_term(q, shift)
+        assert lt.w == group.elements[table.chambers[iq]]
         for iw, w in enumerate(group):
-            assert table.degrees[iq][iw] == relative_degree(w, q, shift)
-            if classify(q, w, shift) is QuiltClass.BAD:
-                assert table.chambers[iq] == iw
-                assert quilt_index(QuiltDatum(shift, q, w, q)) == 0
+            assert relative_degree(w, q, shift) == table.degrees[iq][iw]
+            assert table.degrees[iq][iw] == oracles.relative_degree(w, q, shift)
+            cls = oracles.classify(q, w, shift)
+            assert classify(q, w, shift) is cls
+            assert (table.chambers[iq] == iw) == (cls is QuiltClass.BAD)
+            diagonal = quilt_index(QuiltDatum(shift, q, w, q))
+            if cls is QuiltClass.BAD:
+                assert diagonal == 0
                 with pytest.raises(NotUgly):
-                    table.ugly_index(iq, iw)
+                    ugly_index(q, w, shift)
+                with pytest.raises(NotUgly):
+                    oracles.ugly_index(q, w, shift)
             else:
-                assert table.chambers[iq] != iw
-                # ugly_index asserts its value equals quilt_index, and the
-                # table's equals its own degree difference
-                assert table.ugly_index(iq, iw) == ugly_index(q, w, shift)
-    morse = [morse_index(w, shift) for w in group]
-    assert [table.morse_index(iw) for iw in range(group.order)] == morse
-    assert table.poincare_polynomial() == [morse.count(k) for k in range(sys_.dim_lambda() + 1)]
-    assert table.parity_report() == parity_report(shift)
+                # the oracle sums over the flipped roots and re-checks the sum
+                # against its own quilt index and for strict positivity
+                assert ugly_index(q, w, shift) == diagonal == oracles.ugly_index(q, w, shift)
+            if points[-1 - iq] != q:
+                datum = QuiltDatum(shift, q, w, points[-1 - iq])
+                assert quilt_index(datum) == oracles.quilt_index(datum)
+    fil = [oracles.filtration_weight(w, shift) for w in group]
+    assert [filtration_weight(w, shift) for w in group] == table.filtration == fil
+    if shift.mode is Mode.SMALL_IN_CHAMBER:
+        morse = [oracles.morse_index(w, shift) for w in group]
+        assert [morse_index(w, shift) for w in group] == morse
+        assert poincare_polynomial(shift) == oracles.poincare_polynomial(shift)
+    for coefficients in ("Z", "Z2"):
+        assert parity_report(shift, coefficients) == oracles.parity_report(shift, coefficients)
 
 
 @pytest.mark.parametrize("name", ["group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2"])
 def test_index_table_matches_oracles(name):
     entry = get_entry(name)
-    for r in range(4):
+    for r in range(5):
         shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(r))
-        _assert_table_matches_oracles(shift)
+        _assert_lookups_match_oracles(shift)
+
+
+@pytest.mark.parametrize("name", ["spin5-b2", "split-g2", "su4-a3", "cp3-bc1"])
+def test_index_table_matches_oracles_extra_catalog(name):
+    entry = get_entry(name, EXTRA_CATALOG)
+    for r in range(5):
+        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        _assert_lookups_match_oracles(shift)
 
 
 def test_index_table_matches_oracles_f4(f4_system, f4_lattice):
-    shift = canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(0))
-    _assert_table_matches_oracles(shift)
+    # the shortest lattice vectors have norm 2, so r = 0 and r = 1 share the window {0}
+    shift = canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(1))
+    assert len(shift.window_points()) == 1
+    _assert_lookups_match_oracles(shift)
+
+
+def test_index_lookups_match_oracles_in_regular_only_mode(group_a2):
+    # a shift outside the base chamber: the chambers of q + a are not those
+    # of q, and Morse indices are not defined
+    a = (F(-1, 7), F(1, 11))
+    shift = validate_generic(group_a2.system, group_a2.lattice, a, Mode.REGULAR_ONLY, F(3))
+    _assert_lookups_match_oracles(shift)
+    W = group_a2.system.weyl_group()
+    for fn in (morse_index, oracles.morse_index):
+        with pytest.raises(ModeMismatch, match="morse_index requires a small-in-chamber shift"):
+            fn(W.identity, shift)
+    for fn in (poincare_polynomial, oracles.poincare_polynomial):
+        with pytest.raises(ModeMismatch):
+            fn(shift)
+
+
+def test_off_lattice_points_raise_where_the_oracles_compute(a1_shift):
+    # the lattice of group-a1 is Z alpha, so q = alpha/3 is off it; the
+    # table reads 2*alpha(q) as an integer and refuses, the oracles sum
+    # floors of Fractions (ugly_index refuses in both, through QuiltDatum)
+    W = a1_shift.system.weyl_group()
+    q, s = (F(1, 3),), W.elements[1]
+    assert oracles.relative_degree(s, q, a1_shift) == 2 * math.floor(F(-17, 15))
+    assert oracles.classify(q, s, a1_shift) is QuiltClass.UGLY
+    assert oracles.leading_term(q, a1_shift).w == W.identity
+    calls = [
+        lambda: relative_degree(s, q, a1_shift),
+        lambda: classify(q, s, a1_shift),
+        lambda: ugly_index(q, s, a1_shift),
+        lambda: leading_term(q, a1_shift),
+    ]
+    for call in calls:
+        with pytest.raises(InvariantViolation, match="is not a lattice point"):
+            call()
+
+
+@pytest.mark.parametrize("name, catalog", [("group-a2", None), ("fi-f4", F4_CATALOG)])
+def test_per_datum_lookups_never_enumerate_the_window(name, catalog):
+    entry = get_entry(name, catalog)
+    shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(5))
+    W = shift.system.weyl_group()
+    e, w = W.identity, W.elements[1]
+    q = shift.lattice.basis[0]
+    zero = tuple(F(0) for _ in q)
+    relative_degree(w, q, shift)
+    classify(q, w, shift)
+    quilt_index(QuiltDatum(shift, q, w, zero))
+    assert ugly_index(zero, w, shift) >= 1  # q = 0 lies in the base chamber
+    filtration_weight(w, shift)
+    morse_index(e, shift)
+    leading_term(q, shift)
+    assert shift._points is None
 
 
 def test_index_table_is_built_once_per_shift(a1_shift):
     assert index_table(a1_shift) is index_table(a1_shift)
 
 
+def test_index_table_dies_with_its_shift(group_a2):
+    # the table refers back to its shift weakly, so dropping the shift frees
+    # both by reference counting, with the cycle collector off
+    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    table = weakref.ref(index_table(shift))
+    assert table().perms and table().degrees
+    gc.disable()
+    try:
+        del shift
+        assert table() is None
+    finally:
+        gc.enable()
+
+
 def test_index_table_rejects_a_floor_boundary(group_a1):
     # 2 alpha(alpha/4) = 1: an unvalidated shift on a floor boundary
     shift = GenericShift(group_a1.system, group_a1.lattice, (F(1, 4),), Mode.REGULAR_ONLY, F(0))
-    with pytest.raises(FloorBoundary):
+    message = r"^2\*alpha\(q\+a\) = -1 at alpha=\(-1\), q=\(0\)$"
+    with pytest.raises(FloorBoundary, match=message):
         index_table(shift)
+    # the message validate_generic gives for the same shift
+    with pytest.raises(FloorBoundary, match=message):
+        validate_generic(group_a1.system, group_a1.lattice, shift.a, Mode.REGULAR_ONLY, F(0))
+    # the per-datum lookups raise through the table, the oracles at the floor term
+    e, zero = group_a1.system.weyl_group().identity, (F(0),)
+    for fn in (relative_degree, oracles.relative_degree):
+        with pytest.raises(FloorBoundary):
+            fn(e, zero, shift)
+    for fn in (quilt_index, oracles.quilt_index):
+        with pytest.raises(FloorBoundary):
+            fn(QuiltDatum(shift, zero, e, zero))
 
 
 def test_index_table_morse_mode_mismatch(group_a1):
@@ -484,7 +597,7 @@ def test_window_perms_match_weyl_action_f4(f4_system, f4_lattice):
 
 def _assert_filtration_matches_oracle(shift):
     group = shift.system.weyl_group()
-    assert index_table(shift).filtration == [filtration_weight(w, shift) for w in group]
+    assert index_table(shift).filtration == [oracles.filtration_weight(w, shift) for w in group]
 
 
 @pytest.mark.parametrize("name", PAIRS)

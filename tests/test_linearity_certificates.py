@@ -7,7 +7,8 @@ class.  Each test compares what ``verify`` reports through a certificate
 with the Fraction pair loop or the capping oracles it replaces, and checks
 that the certificate is what decided: it holds on the catalog data and fails
 on a perturbed x0 image or tau, where the check must raise rather than
-report a pass.
+report a pass.  The pair loop reads its degrees and filtration weights from
+the ``Fraction`` oracles in ``tests/oracles.py``, not from the table.
 """
 
 from dataclasses import replace
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from rootquilt import get_entry
 from rootquilt.errors import InvariantViolation, RootQuiltError
 from rootquilt.indices import IndexTable, capping_area, capping_maslov, index_table, monotone_data
@@ -25,7 +27,6 @@ from rootquilt.suite import (
     run_suite,
     _add_area_sweep,
     _add_implication_check,
-    _add_implication_sweep,
     build_shift,
 )
 
@@ -64,16 +65,17 @@ def _setup(catalog, name, radius, tau, epsilon):
     return shift, md, group, index_table(shift), shift.window_points()
 
 
-def _pair_loop(shift, table, points, elements, x0_images):
+def _pair_loop(shift, points, elements, x0_images):
     """The report of the pair loop, from its own (degree, action, filtration) rows."""
     gram = shift.system.gram
+    fil = [oracles.filtration_weight(w, shift) for w in elements]
     rows = [
-        (table.degrees[iq][iw], gram_pair(gram, add(q, shift.a), x), table.filtration[iw])
-        for iq, q in enumerate(points)
-        for iw, x in enumerate(x0_images)
+        (oracles.relative_degree(w, q, shift), gram_pair(gram, add(q, shift.a), x), fil[iw])
+        for q in points
+        for iw, (w, x) in enumerate(zip(elements, x0_images))
     ]
     report = Report("t", "verify", {})
-    _add_implication_sweep(report, rows, points, elements)
+    oracles.add_implication_sweep(report, rows, points, elements)
     return report
 
 
@@ -98,7 +100,7 @@ def test_certified_implication_matches_the_pair_loop(case):
     images = [w(md.x0) for w in group]
     assert table.certify_implication(images, md.tau)
     fast = _implication_check(table, images, md.tau)
-    loop = _pair_loop(shift, table, points, group.elements, images)
+    loop = _pair_loop(shift, points, group.elements, images)
     assert _same(fast, loop)
     n = len(points) * group.order
     assert [r["value"] for r in fast.rows] == [str(n * n)] * 2
@@ -150,7 +152,7 @@ def test_certificate_refuses_data_the_pair_loop_rejects():
     # filtration does not; the certificate must not report a pass there
     shift, md, group, table, points = _setup(None, "group-a2", 2, None, None)
     images = _perturbed_images([w(md.x0) for w in group], 1, F(-1))
-    loop = _pair_loop(shift, table, points, group.elements, images)
+    loop = _pair_loop(shift, points, group.elements, images)
     [check] = loop.checks
     assert (check.status, check.detail) == (
         "fail",
@@ -178,7 +180,7 @@ def test_negative_tau_fails_the_certificate():
     images = [scale(F(-1), w(md.x0)) for w in group]
     assert not table.certify_implication(images, -md.tau)
     _raises_action_identity(table, images, -md.tau)
-    assert _pair_loop(shift, table, points, group.elements, images).checks[0].status == "fail"
+    assert _pair_loop(shift, points, group.elements, images).checks[0].status == "fail"
 
 
 def test_failed_certificate_aborts_verify_naming_the_check(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from rootquilt import (
     Generator,
     Mode,
@@ -22,10 +23,8 @@ from rootquilt import (
     triangularity_certificate,
     validate_generic,
 )
-from rootquilt import ring
 from rootquilt.indices import index_table
 from rootquilt.lattice import canonical_shift
-from rootquilt.ring import chamber_witnesses
 from rootquilt.roots import RestrictedRootSystem, WeylElement
 
 
@@ -237,8 +236,14 @@ def test_witness_closure_idempotent(a1_shift):
 
 def test_chamber_witnesses_cover_when_window_grows(group_a2):
     shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
-    witnesses = chamber_witnesses(shift)
+    witnesses = oracles.chamber_witnesses(shift)
     assert set(witnesses) == set(group_a2.system.weyl_group())
+    assert triangularity_certificate(shift).chamber_witness == witnesses
+    for r in range(3):
+        small = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        cert = triangularity_certificate(small)
+        assert cert.chamber_witness == oracles.chamber_witnesses(small)
+        assert set(cert.uncovered) == set(group_a2.system.weyl_group()) - set(cert.chamber_witness)
 
 
 def test_star_distributes_over_addition(group_a2):
@@ -291,8 +296,9 @@ def test_certificates_leave_the_fraction_oracles_alone(group_a2, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the certificates read the index table")
 
+    index_table(shift)  # the per-root data are built with the pairing, before the patch
     monkeypatch.setattr(WeylElement, "__call__", forbidden)
     monkeypatch.setattr(RestrictedRootSystem, "chamber_of", forbidden)
-    monkeypatch.setattr(ring, "filtration_weight", forbidden)
+    monkeypatch.setattr(RestrictedRootSystem, "pairing", forbidden)
     assert r_module_basis_check(shift)[0]
     assert triangularity_certificate(shift).complete

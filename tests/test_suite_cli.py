@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from rootquilt import Lattice, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
 from rootquilt.cli import _join_negative_values, build_parser, main
@@ -16,7 +17,6 @@ from rootquilt.lattice import DEFAULT_POINT_CAP
 from rootquilt.suite import (
     Report,
     _add_bad_ugly_sweep,
-    _add_implication_sweep,
     emit,
     run_suite,
 )
@@ -79,7 +79,7 @@ def _synthetic_sweep(group_a1, filtrations):
     points = [(F(0),), (F(1),)]
     rows = [(0, F(len(points) * W.order - i), fil) for i, fil in enumerate(filtrations)]
     report = Report("synthetic", "verify", {})
-    _add_implication_sweep(report, rows, points, W.elements)
+    oracles.add_implication_sweep(report, rows, points, W.elements)
     return report
 
 
