@@ -81,7 +81,7 @@ def _common_options() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default=None, help="shift scale (rational); default is canonical")
     p.add_argument("--radius", default="3", help="window radius (rational)")
     p.add_argument("--format", default="json", choices=["json", "tsv"])
-    p.add_argument("--jobs", type=_job_count, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1, help="accepted; verify runs serially")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--quad-nodes", type=_node_count, default=256)
     return p
@@ -185,7 +185,6 @@ def cmd_verify(args) -> int:
         tau=params["tau"],
         epsilon=params["epsilon"],
         radius=params["radius"],
-        jobs=args.jobs,
         triangle_data=tuple(triangle_data),
         quad_nodes=args.quad_nodes,
         tol=args.tol,

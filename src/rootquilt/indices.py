@@ -305,9 +305,10 @@ class IndexTable:
 
     The constructor builds per-root data alone, from which ``floors_at``,
     ``chamber_index`` and ``degree`` answer for one lattice point; each
-    window table is built on first read, from the shift, held weakly.
-    Window points are indexed in ``shift.window_points()`` order, chamber
-    elements in Weyl group order and roots in ``system.roots`` order.
+    window table is built on first read, from the shift, held weakly, and a
+    read once the shift is freed raises InvariantViolation.  Window points
+    are indexed in ``shift.window_points()`` order, chamber elements in Weyl
+    group order and roots in ``system.roots`` order.
     """
 
     def __init__(self, shift: GenericShift):
@@ -316,7 +317,7 @@ class IndexTable:
         group = self._group = system.weyl_group()
         two_alpha_a = [2 * system.pairing(al, shift.a) for al in roots]
         reject_floor_boundaries(roots, two_alpha_a)
-        self._shift = weakref.proxy(shift)  # weak: the shift owns the table
+        self._shift_ref = weakref.ref(shift)  # weak: the shift owns the table
         self.mult: tuple[int, ...] = tuple(system.mult[al] for al in roots)
         self.floor_a: tuple[int, ...] = tuple(math.floor(t) for t in two_alpha_a)
         self.positive = group.positive
@@ -326,6 +327,16 @@ class IndexTable:
         self.filtration: list[Fraction] = [
             Fraction(sum(self.mult[i] * frac_num[i] for i in pos), den) for pos in self.positive
         ]
+
+    @property
+    def _shift(self) -> GenericShift:
+        shift = self._shift_ref()
+        if shift is None:
+            raise InvariantViolation(
+                "the index table outlived its GenericShift;"
+                " keep the shift while reading window tables"
+            )
+        return shift
 
     def floors_at(self, q: Vec) -> tuple[int, ...]:
         """floor(2*alpha(q + a)) for every root, at a lattice point q."""

@@ -183,18 +183,18 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
     return TriangularityCertificate(rows, tuple(uncovered), witnesses)
 
 
-def r_module_basis_check(shift: GenericShift) -> tuple[bool, list[tuple[Generator, Vec]]]:
-    """Check y[w;q] = star(w^{-1} q, y[w;0]) = y[w; w(w^{-1} q)] on the window permutations."""
+def r_module_basis_check(shift: GenericShift) -> bool:
+    """Whether y[w;q] = star(w^{-1} q, y[w;0]) = y[w; w(w^{-1} q)] at every
+    window generator, on the window permutations of the index table.
+
+    True exactly when perms[k][perms[inv[k]][iq]] == iq for every chamber
+    element k and window point iq, where inv[k] indexes w_k^{-1}.
+    """
     table = index_table(shift)
-    points = shift.window_points()
-    rows: list[tuple[Generator, Vec]] = []
-    for k, w in enumerate(shift.system.weyl_group()):
-        to_w, from_w = table.perms[k], table.perms[table.inverses[k]]
-        for iq, q in enumerate(points):
-            if to_w[from_w[iq]] != iq:
-                return False, rows
-            rows.append((Generator(w, q), points[from_w[iq]]))
-    return True, rows
+    return all(
+        all(to_w[i] == iq for iq, i in enumerate(table.perms[inv]))
+        for to_w, inv in zip(table.perms, table.inverses)
+    )
 
 
 @dataclass

@@ -7,24 +7,20 @@ Poincare censuses, and the ring certificates.  The implication and area
 sweeps are certified on the table by linearity, with a few pairings per
 chamber element, and no action is computed per generator.
 
-The bad/ugly sweep may be partitioned across worker processes with ``jobs``;
-tasks are enumerated in a fixed order and results merged in that order, so
-the emitted bytes never depend on the degree of parallelism.  The pool class
-is the module attribute ``ProcessPoolExecutor``, imported on first access
-(PEP 562), so a serial run never loads ``concurrent.futures.process``; the
-attribute stays rebindable, and ``_parallel_map`` uses whatever it holds.
+The bad/ugly sweep is one serial loop over the table's ``chambers`` and
+``degrees``, point by point and in group order within a point, so the report
+bytes depend on the window alone.  No check starts a worker process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 import json
 
 from .catalog import CatalogEntry
 from .errors import InvariantViolation, RootQuiltError
-from .indices import IndexTable, MonotoneData, QuiltClass, index_table, monotone_data
+from .indices import IndexTable, MonotoneData, index_table, monotone_data
 from .lattice import GenericShift, Mode, canonical_shift, validate_generic, weighted_root_sum
 from .linalg import Vec, format_rational, format_vec, scale
 from .ring import finitely_generated_witness, r_module_basis_check, triangularity_certificate
@@ -133,10 +129,11 @@ def emit(report: Report, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# -- parallel helpers --------------------------------------------------------
+# -- the sweeps ----------------------------------------------------------------
 
 
 def __getattr__(name: str):
+    # bench/spans.py rebinds suite.ProcessPoolExecutor; nothing in the package uses it
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -145,49 +142,28 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _apply_chunk(fn, ctx, chunk):
-    return [fn(ctx, t) for t in chunk]
+def _add_bad_ugly_sweep(report: Report, table: IndexTable, points: list[Vec], elements) -> None:
+    """Report the index of every datum (q, w, q), point by point in group order.
 
-
-def _parallel_map(fn, ctx, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) < 64:
-        return [fn(ctx, t) for t in tasks]
-    n_chunks = jobs * 4
-    size = max(1, (len(tasks) + n_chunks - 1) // n_chunks)
-    chunked = [tasks[i : i + size] for i in range(0, len(tasks), size)]
-    pool = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    with pool(max_workers=jobs) as ex:
-        parts = list(ex.map(partial(_apply_chunk, fn, ctx), chunked))
-    return [r for part in parts for r in part]
-
-
-def _bad_ugly_task(lists: tuple[list[int], list[list[int]]], task: tuple[int, int]):
-    """The index of the datum (q, w, q) from the table's chambers and degrees."""
-    chambers, degrees = lists
-    iq, iw = task
-    w_in = chambers[iq]
-    idx = degrees[iq][w_in] - degrees[iq][iw]
-    if w_in == iw:
-        return iq, iw, QuiltClass.BAD.value, idx, idx == 0
-    return iq, iw, QuiltClass.UGLY.value, idx, idx >= 1
-
-
-def _add_bad_ugly_sweep(report: Report, results: list, points: list[Vec], elements) -> None:
-    """Report the index of every datum (q, w, q), in task order.
-
-    A failing check names the first datum whose index contradicts its class.
+    The index is deg(w_in, q) - deg(w, q), read off ``table.degrees``, where
+    w_in is the chamber element of q + a in ``table.chambers``: (q, w_in, q)
+    is the one bad datum at q, of index 0, and every other w gives an ugly
+    datum, whose index must be at least 1.  A failing check names the first
+    ugly datum of index below 1.
     """
-    bad = ugly = 0
     first_failure = None
-    for iq, iw, tag, idx, ok in results:
-        if tag == "bad":
-            bad += 1
-        else:
-            ugly += 1
-        datum = f"{elements[iw].name};{format_vec(points[iq])}"
-        if not ok and first_failure is None:
-            first_failure = f"({datum}) {tag}:{idx}"
-        report.add_row("bad_ugly", datum, f"{tag}:{idx}")
+    for q, w_in, degrees in zip(points, table.chambers, table.degrees, strict=True):
+        label = format_vec(q)
+        top = degrees[w_in]
+        for iw, (w, deg) in enumerate(zip(elements, degrees, strict=True)):
+            idx = top - deg
+            value = f"bad:{idx}" if iw == w_in else f"ugly:{idx}"
+            datum = f"{w.name};{label}"
+            if first_failure is None and iw != w_in and idx < 1:
+                first_failure = f"({datum}) {value}"
+            report.add_row("bad_ugly", datum, value)
+    bad = len(points)
+    ugly = bad * (len(elements) - 1)
     report.add_row("bad_ugly", "bad_count", bad)
     report.add_row("bad_ugly", "ugly_count", ugly)
     detail = f"{bad} bad (index 0), {ugly} ugly (index > 0)"
@@ -249,7 +225,6 @@ def run_suite(
     tau: Fraction | None = None,
     epsilon: Fraction | None = None,
     radius: Fraction = Fraction(3),
-    jobs: int = 1,
     triangle_data: tuple = (),
     quad_nodes: int = 256,
     tol: float = 1e-9,
@@ -257,9 +232,7 @@ def run_suite(
     """Run every check for one entry; a hard failure aborts naming the check."""
     stage = {"check": "setup"}
     try:
-        return _run_suite(
-            entry, tau, epsilon, radius, jobs, triangle_data, quad_nodes, tol, stage
-        )
+        return _run_suite(entry, tau, epsilon, radius, triangle_data, quad_nodes, tol, stage)
     except RootQuiltError as exc:
         raise RootQuiltError(f"check {stage['check']} aborted: {exc}") from exc
 
@@ -269,7 +242,6 @@ def _run_suite(
     tau: Fraction | None,
     epsilon: Fraction | None,
     radius: Fraction,
-    jobs: int,
     triangle_data: tuple,
     quad_nodes: int,
     tol: float,
@@ -323,9 +295,7 @@ def _run_suite(
     # bad/ugly sweep
     stage["check"] = "bad_ugly_sweep"
     table = index_table(shift)
-    tasks = [(iq, iw) for iq in range(len(points)) for iw in range(group.order)]
-    results = _parallel_map(_bad_ugly_task, (table.chambers, table.degrees), tasks, jobs)
-    _add_bad_ugly_sweep(report, results, points, group.elements)
+    _add_bad_ugly_sweep(report, table, points, group.elements)
 
     # filtration table
     stage["check"] = "filtration_minimum"
@@ -370,7 +340,7 @@ def _run_suite(
 
     # unit-sector module structure
     stage["check"] = "basis_factorization"
-    basis_ok, _table = r_module_basis_check(shift)
+    basis_ok = r_module_basis_check(shift)
     report.add_check("basis_factorization", basis_ok, "window factors through sector bases")
 
     # triangularity and finite generation

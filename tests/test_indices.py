@@ -539,6 +539,14 @@ def test_index_table_dies_with_its_shift(group_a2):
         gc.enable()
 
 
+def test_index_table_outliving_its_shift_says_to_keep_the_shift(group_a2):
+    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    table = index_table(shift)
+    del shift
+    with pytest.raises(InvariantViolation, match="outlived its GenericShift; keep the shift"):
+        table.two_alpha_q
+
+
 def test_index_table_rejects_a_floor_boundary(group_a1):
     # 2 alpha(alpha/4) = 1: an unvalidated shift on a floor boundary
     shift = GenericShift(group_a1.system, group_a1.lattice, (F(1, 4),), Mode.REGULAR_ONLY, F(0))

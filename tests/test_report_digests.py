@@ -163,13 +163,6 @@ def test_f4_report_digests(radius):
     assert hashlib.sha256(emit(report)).hexdigest() == F4_DIGESTS[radius]
 
 
-def test_pool_gives_serial_bytes(group_a2):
-    # radius 3: 114 bad/ugly tasks, enough for the sweep to use the pool
-    serial = emit(run_suite(group_a2, radius=F(3), jobs=1))
-    pooled = emit(run_suite(group_a2, radius=F(3), jobs=2))
-    assert serial == pooled
-
-
 # SHA-256 of the `certify` and `filtration` report bytes (default format,
 # tau and epsilon) for r = 0, 1, 2, 3, recorded while the certificates still
 # applied Fraction matrices and located chambers point by point.

@@ -115,12 +115,7 @@ def test_integer_mode_flags_signs(group_a2):
 
 
 def test_r_module_basis_check(a1_shift):
-    ok, table = r_module_basis_check(a1_shift)
-    assert ok
-    assert len(table) == 10
-    # y[w;0] factors with exponent 0
-    zero_rows = [row for row in table if row[0].q == (F(0),)]
-    assert all(row[1] == (F(0),) for row in zero_rows)
+    assert r_module_basis_check(a1_shift) is True
 
 
 def test_leading_term_examples(a1_shift):
@@ -280,9 +275,7 @@ def _corrupted_shift(group_a2):
 
 def test_corrupted_window_permutation_fails_basis_check(group_a2):
     shift = _corrupted_shift(group_a2)
-    ok, rows = r_module_basis_check(shift)
-    assert not ok
-    assert len(rows) < group_a2.system.weyl_group().order * len(shift.window_points())
+    assert r_module_basis_check(shift) is False
 
 
 def test_corrupted_window_permutation_fails_factorization(group_a2):
@@ -300,5 +293,5 @@ def test_certificates_leave_the_fraction_oracles_alone(group_a2, monkeypatch):
     monkeypatch.setattr(WeylElement, "__call__", forbidden)
     monkeypatch.setattr(RestrictedRootSystem, "chamber_of", forbidden)
     monkeypatch.setattr(RestrictedRootSystem, "pairing", forbidden)
-    assert r_module_basis_check(shift)[0]
+    assert r_module_basis_check(shift) is True
     assert triangularity_certificate(shift).complete

@@ -6,20 +6,17 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from rootquilt import Lattice, get_entry, suite
+from rootquilt import Lattice, Mode, canonical_shift, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
 from rootquilt.cli import _join_negative_values, build_parser, main
+from rootquilt.indices import index_table
 from rootquilt.lattice import DEFAULT_POINT_CAP
-from rootquilt.suite import (
-    Report,
-    _add_bad_ugly_sweep,
-    emit,
-    run_suite,
-)
+from rootquilt.suite import Report, _add_bad_ugly_sweep, run_suite
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -68,12 +65,6 @@ def test_suite_eiv_radius_one_parity():
     assert report.passed
 
 
-def test_suite_jobs_do_not_change_bytes(group_a1):
-    serial = emit(run_suite(group_a1, radius=F(2), jobs=1), "json")
-    parallel = emit(run_suite(group_a1, radius=F(2), jobs=4), "json")
-    assert serial == parallel
-
-
 def _synthetic_sweep(group_a1, filtrations):
     W = group_a1.system.weyl_group()
     points = [(F(0),), (F(1),)]
@@ -83,29 +74,25 @@ def _synthetic_sweep(group_a1, filtrations):
     return report
 
 
-def _bad_ugly_report(results):
-    points = [(F(0),), (F(1),)]
+def _bad_ugly_report(table, points):
     elements = get_entry("group-a1").system.weyl_group().elements
     report = Report("t", "verify", {})
-    _add_bad_ugly_sweep(report, results, points, elements)
+    _add_bad_ugly_sweep(report, table, points, elements)
     return report
 
 
 def test_bad_ugly_failure_names_first_failing_datum():
-    results = [
-        (0, 0, "bad", 0, True),
-        (0, 1, "ugly", 0, False),
-        (1, 0, "bad", 2, False),
-        (1, 1, "ugly", 3, True),
-    ]
-    check = _bad_ugly_report(results).checks[0]
+    # the window (0), (1) of group-a1, with q + a in the chamber of e, then of s1:
+    # the ugly datum (s1;0) has index 0 and fails, the ugly datum (e;1) passes
+    table = SimpleNamespace(chambers=[0, 1], degrees=[[5, 5], [4, 7]])
+    check = _bad_ugly_report(table, [(F(0),), (F(1),)]).checks[0]
     assert check.status == "fail"
     assert check.detail == "2 bad (index 0), 2 ugly (index > 0); first failure (s1;0) ugly:0"
 
 
-def test_bad_ugly_pass_detail_is_the_class_counts():
-    results = [(0, 0, "bad", 0, True), (1, 1, "ugly", 3, True)]
-    check = _bad_ugly_report(results).checks[0]
+def test_bad_ugly_pass_detail_is_the_class_counts(group_a1):
+    shift = canonical_shift(group_a1.system, group_a1.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+    check = _bad_ugly_report(index_table(shift), shift.window_points()).checks[0]
     assert (check.status, check.detail) == ("pass", "1 bad (index 0), 1 ugly (index > 0)")
 
 
@@ -539,36 +526,34 @@ def test_verify_past_the_point_cap_aborts_in_the_shift_check(capsys):
 # -- the import path ----------------------------------------------------------
 
 
-def test_serial_verify_loads_neither_jsonschema_nor_the_pool():
+def _verify_in_a_fresh_process(*argv):
+    """The report bytes of one verify run; asserts it loaded neither jsonschema
+    nor the process pool module."""
     script = (
         "import sys\n"
         "import rootquilt\n"
         "from rootquilt import cli\n"
-        "code = cli.main(['verify', '--pair', 'group-a1', '--radius', '1'])\n"
+        "code = cli.main(['verify', *sys.argv[1:]])\n"
         "heavy = ('jsonschema', 'concurrent.futures.process')\n"
         "print(sorted(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, env=env, cwd=REPO, timeout=300
+        [sys.executable, "-c", script, *argv], capture_output=True, env=env, cwd=REPO, timeout=300
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr.decode() == "[]\n"
+    return proc.stdout
 
 
-def test_pool_class_is_read_through_the_rebindable_module_attribute(monkeypatch, group_a2):
-    made = []
-
-    class CountingPool(suite.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", CountingPool)
-    pooled = emit(run_suite(group_a2, radius=F(3), jobs=2))
-    assert made == [2]
-    assert pooled == emit(run_suite(group_a2, radius=F(3), jobs=1))
+def test_serial_verify_loads_neither_jsonschema_nor_the_pool():
+    _verify_in_a_fresh_process("--pair", "group-a1", "--radius", "1")
+    # --jobs changes neither the bytes nor the modules loaded, on 114 bad/ugly data
+    argv = ("--pair", "group-a2", "--radius", "3")
+    assert _verify_in_a_fresh_process(*argv, "--jobs", "2") == _verify_in_a_fresh_process(
+        *argv, "--jobs", "1"
+    )
 
 
 # -- one process, many commands -----------------------------------------------
