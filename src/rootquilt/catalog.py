@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InvariantViolation, SchemaError
-from .lattice import Lattice, weighted_root_sum
+from .lattice import Lattice, _vec_text, weighted_root_sum
 from .linalg import (
     Mat, Vec, gram_pair, is_symmetric, leading_minors_positive, mat, mat_vec, matrix_rank,
     parse_rational, reflect, vec,
@@ -192,7 +192,7 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
         if all(x == 0 for x in s):
             raise InvariantViolation("zero vector cannot seed a root orbit")
         if gram_pair(gram, s, s) == 0:  # reflections keep lengths, so seeds cover every root
-            raise InvariantViolation(f"seed {s} has zero squared length")
+            raise InvariantViolation(f"seed {_vec_text(s)} has zero squared length")
     if not leading_minors_positive(gram):
         raise InvariantViolation("gram matrix is not positive definite")
     # roots[k] came from the orbit of seed_of[k] with multiplicity mults[k];
@@ -213,7 +213,7 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
             mults.append(m)
             seed_of.append(seed)
         elif mults[k] != m:
-            raise InvariantViolation(f"conflicting multiplicities on orbit of {seed}")
+            raise InvariantViolation(f"conflicting multiplicities on orbit of {_vec_text(seed)}")
 
     for s, m in seeds:
         found(s, m, s)

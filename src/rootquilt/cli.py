@@ -226,7 +226,7 @@ def cmd_filtration(args) -> int:
     report = Report(entry.name, "filtration", _report_params(params, shift))
     for w, fil in zip(group, table.filtration):
         report.add_row("filtration", w.name, fil)
-    for q, iw in zip(shift.window_points(), table.chambers):
+    for q, iw in zip(table.points, table.chambers):
         report.add_row("leading", format_vec(q), group.elements[iw].name)
     report.add_check("filtration", True, f"{group.order} weights")
     _write(report, args.format)

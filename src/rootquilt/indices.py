@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +32,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvariantViolation, ModeMismatch, NotDominant, NotUgly
-from .lattice import GenericShift, Mode, reject_floor_boundaries, weighted_root_sum
+from .lattice import GenericShift, Mode, _vec_text, reject_floor_boundaries, weighted_root_sum
 from .linalg import Vec, add, dot, gram_pair, mat_vec, scale, vec
 from .roots import RestrictedRootSystem, WeylElement
 
@@ -107,9 +106,9 @@ class QuiltDatum:
         r2 = self.shift.window_radius * self.shift.window_radius
         for q in (self.q_in, self.q_out):
             if not self.shift.lattice.contains(q):
-                raise InvariantViolation(f"{q} is not a lattice point")
+                raise InvariantViolation(f"{_vec_text(q)} is not a lattice point")
             if self.shift.system.norm2(q) > r2:
-                raise InvariantViolation(f"{q} lies outside the validated window")
+                raise InvariantViolation(f"{_vec_text(q)} lies outside the validated window")
 
 
 def quilt_index(d: QuiltDatum) -> int:
@@ -231,7 +230,11 @@ def morse_index(w: WeylElement, shift: GenericShift) -> int:
 
 def poincare_polynomial(shift: GenericShift) -> list[int]:
     """Coefficient k counts chamber elements of Morse index k."""
-    return index_table(shift).poincare_polynomial()
+    table = index_table(shift)
+    coeffs = [0] * (shift.system.dim_lambda() + 1)
+    for iw in range(len(table.positive)):
+        coeffs[table.morse_index(iw)] += 1
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,20 @@ def parity_report(shift: GenericShift, coefficients: str = "Z") -> ParityReport:
     undetermined here, unless working over the two-element field, which the
     ``coefficients`` flag selects.
     """
-    return index_table(shift).parity_report(coefficients)
+    table = index_table(shift)
+    all_even = all(m % 2 == 0 for m in table.mult)
+    degrees = [d for row in table.degrees for d in row]
+    even = sum(1 for d in degrees if d % 2 == 0)
+    odd = len(degrees) - even
+    if all_even:
+        if odd:
+            raise InvariantViolation("odd degree found although every multiplicity is even")
+        vanish: bool | None = True
+    elif coefficients.upper() == "Z2":
+        vanish = True
+    else:
+        vanish = None
+    return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
 
 
 class IndexTable:
@@ -303,21 +319,24 @@ class IndexTable:
     read through the root permutation of w^-1, and the rows determine the
     points; ``perms[k][iq]`` is the index of w_k(q) found that way.
 
-    The constructor builds per-root data alone, from which ``floors_at``,
-    ``chamber_index`` and ``degree`` answer for one lattice point; each
-    window table is built on first read, from the shift, held weakly, and a
-    read once the shift is freed raises InvariantViolation.  Window points
-    are indexed in ``shift.window_points()`` order, chamber elements in Weyl
+    The table holds the shift fields it reads (``system``, ``lattice``,
+    ``a``, ``mode`` and ``window_radius``) and no reference to the shift, so
+    it may outlive it.  The constructor builds per-root data alone, from
+    which ``floors_at``, ``chamber_index`` and ``degree`` answer for one
+    lattice point.  The table owns the window: ``points``, the one
+    enumeration per shift, and each window table are built on first read.
+    Window points are indexed in ``points`` order, chamber elements in Weyl
     group order and roots in ``system.roots`` order.
     """
 
     def __init__(self, shift: GenericShift):
-        system = shift.system
+        system = self.system = shift.system
+        self.lattice, self.a, self.mode = shift.lattice, shift.a, shift.mode
+        self.window_radius = shift.window_radius
         roots = system.roots
         group = self._group = system.weyl_group()
-        two_alpha_a = [2 * system.pairing(al, shift.a) for al in roots]
+        two_alpha_a = [2 * system.pairing(al, self.a) for al in roots]
         reject_floor_boundaries(roots, two_alpha_a)
-        self._shift_ref = weakref.ref(shift)  # weak: the shift owns the table
         self.mult: tuple[int, ...] = tuple(system.mult[al] for al in roots)
         self.floor_a: tuple[int, ...] = tuple(math.floor(t) for t in two_alpha_a)
         self.positive = group.positive
@@ -328,19 +347,9 @@ class IndexTable:
             Fraction(sum(self.mult[i] * frac_num[i] for i in pos), den) for pos in self.positive
         ]
 
-    @property
-    def _shift(self) -> GenericShift:
-        shift = self._shift_ref()
-        if shift is None:
-            raise InvariantViolation(
-                "the index table outlived its GenericShift;"
-                " keep the shift while reading window tables"
-            )
-        return shift
-
     def floors_at(self, q: Vec) -> tuple[int, ...]:
         """floor(2*alpha(q + a)) for every root, at a lattice point q."""
-        return tuple(p + f for p, f in zip(self._shift.lattice.two_alpha(q), self.floor_a))
+        return tuple(p + f for p, f in zip(self.lattice.two_alpha(q), self.floor_a))
 
     def chamber_index(self, floors: Sequence[int]) -> int:
         """The k with q + a in the chamber of w_k, from the floors of q."""
@@ -351,9 +360,14 @@ class IndexTable:
         return sum(self.mult[i] * floors[i] for i in self.positive[k])
 
     @cached_property
+    def points(self) -> list[Vec]:
+        """The window: the lattice points of Gram norm at most ``window_radius``."""
+        return self.lattice.points(self.window_radius)
+
+    @cached_property
     def two_alpha_q(self) -> list[tuple[int, ...]]:
         """two_alpha_q[iq][alpha] = 2*alpha(q), one row per window point."""
-        return [self._shift.lattice.two_alpha(q) for q in self._shift.window_points()]
+        return [self.lattice.two_alpha(q) for q in self.points]
 
     @cached_property
     def floors(self) -> list[tuple[int, ...]]:
@@ -403,18 +417,18 @@ class IndexTable:
     @cached_property
     def _basis_covectors(self) -> tuple[Vec, ...]:
         """G b for every lattice basis vector b."""
-        return tuple(mat_vec(self._shift.system.gram, b) for b in self._shift.lattice.basis)
+        return tuple(mat_vec(self.system.gram, b) for b in self.lattice.basis)
 
     @cached_property
     def _a_covector(self) -> Vec:
         """G a for the shift a."""
-        return mat_vec(self._shift.system.gram, self._shift.a)
+        return mat_vec(self.system.gram, self.a)
 
     def _pairs_on_basis(self, x: Vec, pos: Sequence[int], tau: Fraction) -> bool:
         """Whether <b, x> = tau * sum over pos of m_alpha 2*alpha(b) at every
         lattice basis vector b; both sides are linear in b, so then at every
         lattice point."""
-        two_alpha_b = self._shift.lattice.two_alpha_basis
+        two_alpha_b = self.lattice.two_alpha_basis
         return all(
             dot(gb, x) == tau * sum(self.mult[i] * two_alpha_b[i][j] for i in pos)
             for j, gb in enumerate(self._basis_covectors)
@@ -455,7 +469,7 @@ class IndexTable:
 
     def morse_index(self, iw: int) -> int:
         """``morse_index`` of chamber element iw."""
-        if self._shift.mode is not Mode.SMALL_IN_CHAMBER:
+        if self.mode is not Mode.SMALL_IN_CHAMBER:
             raise ModeMismatch("morse_index requires a small-in-chamber shift")
         pos = self.positive[iw]
         by_count = sum(self.mult[i] for i in pos if self.floor_a[i] < 0)
@@ -463,29 +477,6 @@ class IndexTable:
         if by_count != by_floor:
             raise InvariantViolation("the two Morse index formulas disagree")
         return by_count
-
-    def poincare_polynomial(self) -> list[int]:
-        """``poincare_polynomial`` of the shift."""
-        coeffs = [0] * (self._shift.system.dim_lambda() + 1)
-        for iw in range(len(self.positive)):
-            coeffs[self.morse_index(iw)] += 1
-        return coeffs
-
-    def parity_report(self, coefficients: str = "Z") -> ParityReport:
-        """``parity_report`` of the shift."""
-        all_even = all(m % 2 == 0 for m in self.mult)
-        degrees = [d for row in self.degrees for d in row]
-        even = sum(1 for d in degrees if d % 2 == 0)
-        odd = len(degrees) - even
-        if all_even:
-            if odd:
-                raise InvariantViolation("odd degree found although every multiplicity is even")
-            vanish: bool | None = True
-        elif coefficients.upper() == "Z2":
-            vanish = True
-        else:
-            vanish = None
-        return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
 
 
 def index_table(shift: GenericShift) -> IndexTable:

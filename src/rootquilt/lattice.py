@@ -7,7 +7,7 @@ coordinates in integers, against the norm matrix scaled once to integers.
 A generic shift is a rational vector certified to avoid every wall and
 every floor boundary inside a stated window.  Because 2*alpha(q) is an
 integer at every lattice point q, the certificate reads the roots alone,
-and a shift enumerates its window lazily, on first use.
+and the shift's index table enumerates its window lazily, on first use.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Lattice:
         """The integers 2*alpha(q) of a lattice point q, in system.roots order."""
         coords = self.coords(q)
         if not is_integral(coords):
-            raise InvariantViolation(f"{q} is not a lattice point")
+            raise InvariantViolation(f"{_vec_text(q)} is not a lattice point")
         c = [int(x) for x in coords]
         return tuple(sum(t * x for t, x in zip(row, c)) for row in self.two_alpha_basis)
 
@@ -107,7 +107,7 @@ class Lattice:
         for w in self.system.weyl_group().simple:
             for b in self.basis:
                 if not self.contains(w(b)):
-                    raise LatticeNotStable(f"{w.name} moves basis vector {b} off the lattice")
+                    raise LatticeNotStable(f"{w.name} moves basis vector {_vec_text(b)} off the lattice")
 
     def points(self, radius: Fraction, cap: int = DEFAULT_POINT_CAP) -> list[Vec]:
         """All lattice points with Gram norm at most radius.
@@ -137,10 +137,10 @@ class Lattice:
 def weyl_action(lattice: Lattice, w: WeylElement, q: Vec) -> Vec:
     """Apply w to a lattice point; the image must stay on the lattice."""
     if not lattice.contains(q):
-        raise LatticeNotStable(f"{q} is not a lattice point")
+        raise LatticeNotStable(f"{_vec_text(q)} is not a lattice point")
     image = w(q)
     if not lattice.contains(image):
-        raise LatticeNotStable(f"{w.name} moves {q} off the lattice")
+        raise LatticeNotStable(f"{w.name} moves {_vec_text(q)} off the lattice")
     return image
 
 
@@ -158,13 +158,11 @@ class GenericShift:
     a: Vec
     mode: Mode
     window_radius: Fraction
-    _points: list[Vec] | None = field(default=None, repr=False, compare=False)
     _table: object = field(default=None, repr=False, compare=False)  # see indices.index_table
 
     def window_points(self) -> list[Vec]:
-        if self._points is None:
-            self._points = self.lattice.points(self.window_radius)
-        return self._points
+        from .indices import index_table  # imported here: indices imports lattice
+        return index_table(self).points
 
 
 def reject_floor_boundaries(roots: Sequence[Vec], two_alpha_a: Sequence[Fraction]) -> None:
@@ -195,7 +193,7 @@ def validate_generic(
     an integer exactly when 2*alpha(a) is, so the floor boundaries are found
     over the roots alone and reported at the first window point (the origin),
     as a scan of the whole window would report them.  The window itself is
-    enumerated on the first call of ``window_points``.
+    enumerated on the first read of the index table's ``points``.
 
     The strict 1/2 matters: the filtration difference between a chamber
     element and the identity is a sum of terms m_alpha (1 - 4 alpha(a)) over

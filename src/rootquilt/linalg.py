@@ -3,7 +3,7 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
 dimensions here are tiny (the rank of a root system, at most a handful),
 so one dense Gauss-Jordan elimination, ``rref``, serves rank, inverse and
-unique solves; ``det`` keeps its own elimination for the Sylvester test.
+unique solves; the Sylvester test eliminates without row swaps.
 Reflections take the covector gram * alpha from the caller, which computes
 it once per root.  No floating point enters this module.
 """
@@ -103,31 +103,22 @@ def is_symmetric(m: Mat) -> bool:
 
 
 def leading_minors_positive(m: Mat) -> bool:
-    """Sylvester test for positive definiteness."""
-    n = len(m)
-    return all(det(tuple(row[: k + 1] for row in m[: k + 1])) > 0 for k in range(n))
+    """Sylvester test for positive definiteness: every leading minor D_k > 0.
 
-
-def det(m: Mat) -> Fraction:
-    n = len(m)
+    Elimination without row swaps leaves D_k / D_{k-1} as the k-th pivot,
+    so every minor is positive exactly when every pivot is.
+    """
     a = [list(row) for row in m]
-    result = Fraction(1)
+    n = len(a)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = Fraction(1) / a[col][col]
+        pivot = a[col][col]
+        if pivot <= 0:
+            return False
         for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, n):
+            f = a[r][col] / pivot
+            for c in range(col + 1, n):
                 a[r][c] -= f * a[col][c]
-    return result
+    return True
 
 
 def inverse(m: Mat) -> Mat:

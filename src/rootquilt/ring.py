@@ -163,7 +163,7 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
     """
     table = index_table(shift)
     elements = shift.system.weyl_group().elements
-    points = shift.window_points()
+    points = table.points
     # chamber element -> its first window point, in window order
     first = {iw: table.chambers.index(iw) for iw in dict.fromkeys(table.chambers)}
     rows: list[CertificateRow] = []

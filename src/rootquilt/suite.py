@@ -20,7 +20,7 @@ import json
 
 from .catalog import CatalogEntry
 from .errors import InvariantViolation, RootQuiltError
-from .indices import IndexTable, MonotoneData, index_table, monotone_data
+from .indices import IndexTable, MonotoneData, index_table, monotone_data, parity_report, poincare_polynomial
 from .lattice import GenericShift, Mode, canonical_shift, validate_generic, weighted_root_sum
 from .linalg import Vec, format_rational, format_vec, scale
 from .ring import finitely_generated_witness, r_module_basis_check, triangularity_certificate
@@ -254,7 +254,8 @@ def _run_suite(
     md = monotone_data(system, tau)
     stage["check"] = "generic_shift"
     shift = build_shift(entry, epsilon, radius)
-    points = shift.window_points()
+    table = index_table(shift)
+    points = table.points
 
     report = Report(
         entry=entry.name,
@@ -294,7 +295,6 @@ def _run_suite(
 
     # bad/ugly sweep
     stage["check"] = "bad_ugly_sweep"
-    table = index_table(shift)
     _add_bad_ugly_sweep(report, table, points, group.elements)
 
     # filtration table
@@ -314,7 +314,7 @@ def _run_suite(
 
     # parity
     stage["check"] = "parity"
-    par = table.parity_report()
+    par = parity_report(shift)
     report.add_row("parity", "all_multiplicities_even", par.all_multiplicities_even)
     report.add_row("parity", "even_degrees", par.even_degrees)
     report.add_row("parity", "odd_degrees", par.odd_degrees)
@@ -326,7 +326,7 @@ def _run_suite(
 
     # poincare polynomial
     stage["check"] = "poincare"
-    coeffs = table.poincare_polynomial()
+    coeffs = poincare_polynomial(shift)
     report.add_row("poincare", "coefficients", ",".join(str(c) for c in coeffs))
     palindromic = coeffs == coeffs[::-1]
     poin_ok = (

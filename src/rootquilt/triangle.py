@@ -230,14 +230,12 @@ def segment_in_closed_chamber(
 
 PREVERTICES = (1.0 + 0.0j, 1.0j, -1.0j)
 EXPONENTS = (0.75, 0.75, 0.5)  # 1 - angle/pi for angles (pi/4, pi/4, pi/2)
-VERTEX_TARGETS = (1.0j, 1.0 + 0.0j, 0.0 + 0.0j)  # (0,1), (1,0), (0,0) as x + iy
 
 # The required boundary correspondence runs counterclockwise on the circle
 # but clockwise around the triangle, matching a problem posed for minus the
 # standard complex structure.  The map is therefore conjugate-conformal: a
 # plain Schwarz-Christoffel integral f with conjugated prevertex labels,
 # evaluated at the conjugate of the disk variable.
-_INT_PREVERTICES = (1.0 + 0.0j, 1.0j, -1.0j)
 _INT_EXPONENTS = (0.75, 0.5, 0.75)
 _INT_TARGETS = (1.0j, 0.0 + 0.0j, 1.0 + 0.0j)
 
@@ -328,12 +326,12 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _corner_integral(k: int, nodes: int) -> complex:
     """Integral of the map derivative from the origin to prevertex k."""
-    zk = _INT_PREVERTICES[k]
+    zk = PREVERTICES[k]
     bk = _INT_EXPONENTS[k]
     x, wts = _gauss_jacobi(nodes, -bk)
     t = (1.0 + x) / 2.0
     g = np.ones_like(t, dtype=complex)
-    for j, (zj, bj) in enumerate(zip(_INT_PREVERTICES, _INT_EXPONENTS)):
+    for j, (zj, bj) in enumerate(zip(PREVERTICES, _INT_EXPONENTS)):
         if j != k:
             g = g * np.exp(-bj * np.log(1.0 - (zk / zj) * t))
     return zk * 2.0 ** (bk - 1.0) * np.sum(wts * g)

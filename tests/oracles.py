@@ -5,8 +5,9 @@ half as it was before the closed forms: every subspace certified per call
 and every intersection found by elimination.  ``jacobi_pair`` is the Jacobi
 recurrence as it was before it ran in place, ``segment_breaks`` the panel
 grading of the triangle map's path integrals before it followed the
-Gauss-Legendre error bound, and ``canonical_shift`` the epsilon scan as it
-was before it ran in integers.
+Gauss-Legendre error bound, ``leading_minors_positive`` the Sylvester test
+as it was before it ran in one elimination, with ``det`` per leading minor,
+and ``canonical_shift`` the epsilon scan as it was before it ran in integers.
 
 The per-datum index quantities (``relative_degree``, ``classify``,
 ``quilt_index``, ``ugly_index``, ``filtration_weight``, ``morse_index``,
@@ -44,6 +45,7 @@ from rootquilt.lattice import (
     weighted_root_sum,
 )
 from rootquilt.linalg import (
+    Mat,
     Vec,
     add,
     format_vec,
@@ -199,6 +201,37 @@ def segment_breaks(dist: float) -> np.ndarray:
         levels = min(52, 4 + int(math.ceil(math.log2(2.0 / max(dist, 1e-15)))))
     pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
     return np.array(pts)
+
+
+# -- the Sylvester test -------------------------------------------------------
+
+
+def leading_minors_positive(m: Mat) -> bool:
+    """Sylvester test for positive definiteness."""
+    n = len(m)
+    return all(det(tuple(row[: k + 1] for row in m[: k + 1])) > 0 for k in range(n))
+
+
+def det(m: Mat) -> Fraction:
+    n = len(m)
+    a = [list(row) for row in m]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            result = -result
+        result *= a[col][col]
+        inv = Fraction(1) / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] == 0:
+                continue
+            f = a[r][col] * inv
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+    return result
 
 
 # -- the shift ----------------------------------------------------------------

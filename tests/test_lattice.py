@@ -30,11 +30,11 @@ from rootquilt import (
     validate_generic,
     weyl_action,
 )
+from rootquilt.indices import index_table
 from rootquilt.lattice import DEFAULT_POINT_CAP, GenericShift, weighted_root_sum
 from rootquilt.linalg import add, gram_pair, inverse, mat_mul, scale, transpose, vec
 
 PAIRS = ("group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2")
-
 
 
 def brute_force_a2_count(radius2: F) -> int:
@@ -125,9 +125,11 @@ def test_weyl_action_rejects_unstable(group_a2):
     lat = Lattice(group_a2.system, [(F(1), F(0)), (F(0), F(2))])
     W = group_a2.system.weyl_group()
     s2 = next(w for w in W if w.word == (1,))
-    with pytest.raises(LatticeNotStable):
+    with pytest.raises(LatticeNotStable, match=r"^s2 moves \(1, 0\) off the lattice$"):
         weyl_action(lat, s2, (F(1), F(0)))
-    with pytest.raises(LatticeNotStable):
+    with pytest.raises(LatticeNotStable, match=r"^\(1/2, 0\) is not a lattice point$"):
+        weyl_action(lat, s2, (F(1, 2), F(0)))
+    with pytest.raises(LatticeNotStable, match=r"^s2 moves basis vector \(1, 0\) off"):
         lat.check_weyl_stable()
 
 
@@ -137,7 +139,7 @@ def full_group_stability(lattice):
     for w in lattice.system.weyl_group():
         for b in lattice.basis:
             if not lattice.contains(w(b)):
-                return f"{w.name} moves basis vector {b} off the lattice"
+                return f"{w.name} moves basis vector {_vec(b)} off the lattice"
     return None
 
 
@@ -326,7 +328,7 @@ def _window_validate_generic(system, lattice, a, mode, radius, points=None):
             if abs(2 * system.pairing(al, a)) >= F(1, 2):
                 raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec(al)}")
     shift = GenericShift(system, lattice, a, mode, radius)
-    shift._points = points
+    index_table(shift).points = points
     return shift
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rootquilt.linalg import dot, inverse, solve_unique
+import oracles
+from rootquilt.linalg import dot, inverse, leading_minors_positive, solve_unique
 
 
 # Oracles: the hand-written eliminations that inverse and solve_unique ran
@@ -96,6 +97,28 @@ def test_inverse_matches_oracle(m):
             inverse(m)
     else:
         assert inverse(m) == expected
+
+
+@st.composite
+def _small_integer_matrices(draw):
+    """Square, of size 1-4, entries in -3..3, symmetric or not."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3).map(F)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_integer_matrices())
+@example(A2)
+@example(((F(2), F(-1)), (F(1), F(2))))  # asymmetric, minors 2 and 5
+@example(((F(1), F(1), F(0)), (F(1), F(1), F(0)), (F(0), F(0), F(1))))  # D_2 = 0
+@example(((F(0), F(1)), (F(1), F(0))))  # D_1 = 0, D_2 < 0
+@example(((F(1), F(2)), (F(2), F(1))))  # indefinite
+def test_leading_minors_positive_matches_the_per_minor_oracle(m):
+    assert leading_minors_positive(m) == oracles.leading_minors_positive(m)
 
 
 @st.composite

@@ -493,6 +493,14 @@ def test_cli_shift_errors_print_exact_vectors(pair, epsilon, message, capsys):
         assert err == f"error: check generic_shift aborted: {message}\n"
 
 
+def test_cli_index_outside_the_window_prints_the_exact_vector(capsys):
+    argv = ["index", "--pair", "group-a1", "--q-in", "9", "--w-out", "1", "--q-out", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: (9) lies outside the validated window\n"
+
+
 # -- the window ---------------------------------------------------------------
 
 
