@@ -10,6 +10,7 @@ invalid data (reported as ``error: ...`` on stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,17 @@ def _int_at_least(minimum: int, reason: str):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float of at least 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a tolerance; use a finite number >= 0")
+    return value
+
+
 _sample_count = _int_at_least(4, "are needed, one on each boundary arc")
 _node_count = _int_at_least(16, "are needed for the corner quadrature")
 _job_count = _int_at_least(1, "is needed")
@@ -82,7 +94,7 @@ def _common_options() -> argparse.ArgumentParser:
     p.add_argument("--radius", default="3", help="window radius (rational)")
     p.add_argument("--format", default="json", choices=["json", "tsv"])
     p.add_argument("--jobs", type=_job_count, default=1, help="accepted; verify runs serially")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--quad-nodes", type=_node_count, default=256)
     return p
 

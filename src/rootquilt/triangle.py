@@ -31,7 +31,8 @@ integrand is evaluated with square roots alone: every exponent is a
 multiple of 1/4, and inside the disk every factor has argument in
 (-pi/2, pi/2), so the principal roots of the products equal the principal
 powers.  Floating point is confined to this half; exact rationals are
-converted at the boundary.
+converted at the boundary.  The half is elementwise and makes no BLAS or
+LAPACK call: the one Mobius map it needs is a 2 x 2 adjugate in closed form.
 """
 
 from __future__ import annotations
@@ -39,10 +40,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+# rootquilt makes no BLAS call, so numpy's OpenBLAS (pthreads) loads without its spinning
+# workers; OMP_NUM_THREADS and MKL_NUM_THREADS are left alone, as other BLAS builds are unmeasured.
+_blas_threads_preset = "OPENBLAS_NUM_THREADS" in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+try:
+    import numpy as np
+finally:
+    if not _blas_threads_preset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import Degenerate, InvariantViolation, QuadratureNotConverged
 from .indices import MonotoneData
@@ -530,14 +540,12 @@ def _mobius_through(src: tuple[complex, complex, complex], dst: tuple[complex, c
     """Coefficients of the Mobius map sending the source triple to the target."""
 
     def ratio_matrix(z1, z2, z3):
-        return np.array(
-            [[z2 - z3, -z1 * (z2 - z3)], [z2 - z1, -z3 * (z2 - z1)]], dtype=complex
-        )
+        return z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1)
 
-    ms = ratio_matrix(*src)
-    mt = ratio_matrix(*dst)
-    m = np.linalg.inv(mt) @ ms
-    return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    a, b, c, d = ratio_matrix(*src)
+    e, f, g, h = ratio_matrix(*dst)
+    det = e * h - f * g  # [[e, f], [g, h]]^-1 is its adjugate over det
+    return (h * a - f * c) / det, (h * b - f * d) / det, (e * c - g * a) / det, (e * d - g * b) / det
 
 
 def symmetry_residual(sol: TriangleMapSolution, samples: int = 64) -> float:

@@ -5,9 +5,11 @@ half as it was before the closed forms: every subspace certified per call
 and every intersection found by elimination.  ``jacobi_pair`` is the Jacobi
 recurrence as it was before it ran in place, ``segment_breaks`` the panel
 grading of the triangle map's path integrals before it followed the
-Gauss-Legendre error bound, ``leading_minors_positive`` the Sylvester test
-as it was before it ran in one elimination, with ``det`` per leading minor,
-and ``canonical_shift`` the epsilon scan as it was before it ran in integers.
+Gauss-Legendre error bound, ``mobius_through`` the Mobius coefficients by a
+LAPACK inverse, as they were before the closed-form adjugate,
+``leading_minors_positive`` the Sylvester test as it was before it ran in
+one elimination, with ``det`` per leading minor, and ``canonical_shift`` the
+epsilon scan as it was before it ran in integers.
 
 The per-datum index quantities (``relative_degree``, ``classify``,
 ``quilt_index``, ``ugly_index``, ``filtration_weight``, ``morse_index``,
@@ -201,6 +203,20 @@ def segment_breaks(dist: float) -> np.ndarray:
         levels = min(52, 4 + int(math.ceil(math.log2(2.0 / max(dist, 1e-15)))))
     pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
     return np.array(pts)
+
+
+def mobius_through(src: tuple[complex, complex, complex], dst: tuple[complex, complex, complex]):
+    """Coefficients of the Mobius map sending the source triple to the target."""
+
+    def ratio_matrix(z1, z2, z3):
+        return np.array(
+            [[z2 - z3, -z1 * (z2 - z3)], [z2 - z1, -z3 * (z2 - z1)]], dtype=complex
+        )
+
+    ms = ratio_matrix(*src)
+    mt = ratio_matrix(*dst)
+    m = np.linalg.inv(mt) @ ms
+    return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
 
 # -- the Sylvester test -------------------------------------------------------

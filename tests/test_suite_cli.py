@@ -376,6 +376,22 @@ def test_cli_accepts_the_smallest_counts(capsys):
     assert json.loads(capsys.readouterr().out)["passed"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+def test_cli_rejects_a_tolerance_that_is_not_finite_and_non_negative(value, capsys):
+    argv = ["verify", "--pair", "group-a1", "--radius", "1", "--tol", value, "--triangle", "0:e"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: argument --tol: " in err and "Traceback" not in err
+
+
+def test_cli_accepts_a_zero_tolerance(capsys):
+    argv = ["verify", "--pair", "group-a1", "--radius", "1", "--tol", "0", "--triangle", "0:e"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
 # -- abbreviated rational options ---------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Affine triple construction, plane reduction, and the conformal solve."""
 
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -31,6 +33,7 @@ from rootquilt.triangle import (
     EXPONENTS,
     PREVERTICES,
     _gauss_jacobi,
+    _mobius_through,
     _sc_derivative,
     boundary_deviation,
     interior_samples,
@@ -180,6 +183,19 @@ def test_cr_residual_at_256_nodes_is_pinned(solved_256):
 
 def test_symmetry_under_exponent_swap(solved_256):
     assert symmetry_residual(solved_256) < 1e-8
+
+
+def test_closed_form_mobius_matches_the_inverse():
+    rng = np.random.default_rng(7)
+    triples = [((1.0 + 0j, -1.0j, 1.0j), (1.0j, 1.0 + 0j, -1.0j))]
+    for _ in range(200):
+        z = rng.normal(size=6) + 1j * rng.normal(size=6)
+        triples.append((tuple(z[:3]), tuple(z[3:])))
+    for src, dst in triples:
+        got = np.array(_mobius_through(src, dst))
+        want = np.array(oracles.mobius_through(src, dst))
+        # a Mobius map is its coefficients up to scale; both sides share the scale
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (src, dst)
 
 
 def test_quadrature_not_converged_carries_residual():
@@ -517,3 +533,52 @@ def test_no_source_file_names_scipy():
     files = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
     assert files
     assert [str(p) for p in files if b"scipy" in p.read_bytes()] == []
+
+
+def test_no_source_file_calls_numpy_linalg():
+    package = REPO / "src" / "rootquilt"
+    files = [p for p in package.rglob("*.py") if "__pycache__" not in p.parts]
+    assert files
+    calls = [str(p) for p in files if re.search(rb"\b(np|numpy)\.linalg\b", p.read_bytes())]
+    assert calls == []
+
+
+_THREAD_SCRIPT = (
+    "import json, os, sys\n"
+    "before = dict(os.environ)\n"
+    "import rootquilt\n"
+    "from rootquilt.cli import main\n"
+    "codes = [\n"
+    "    main(['verify', '--pair', 'group-a1', '--radius', '1', '--triangle', '0:e']),\n"
+    "    main(['triangle', '--pair', 'group-a1', '--q', '1', '--w', '1',\n"
+    "          '--quad-nodes', '64', '--samples', '40']),\n"
+    "]\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+    "print(json.dumps([codes, tasks, dict(os.environ) == before,\n"
+    "                  os.environ.get('OPENBLAS_NUM_THREADS')]), file=sys.stderr)\n"
+)
+
+
+def _run_thread_script(**preset: str) -> list:
+    # OpenBLAS falls back to these two when OPENBLAS_NUM_THREADS is unset
+    drop = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env.update(preset, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_SCRIPT], capture_output=True, env=env, cwd=REPO, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stderr.decode().splitlines()[-1])
+
+
+def test_commands_run_on_one_thread_and_leave_the_environment_alone():
+    codes, tasks, unchanged, blas = _run_thread_script()
+    assert (codes, unchanged, blas) == ([0, 0], True, None)
+    if tasks is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert tasks == 1
+
+
+def test_a_preset_openblas_thread_count_is_kept():
+    codes, _tasks, unchanged, blas = _run_thread_script(OPENBLAS_NUM_THREADS="2")
+    assert (codes, unchanged, blas) == ([0, 0], True, "2")
