@@ -58,7 +58,6 @@ from .lattice import (
     generators,
     validate_generic,
     weighted_root_sum,
-    weyl_action,
 )
 from .ring import (
     LeadingTerm,

@@ -26,14 +26,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvariantViolation, ModeMismatch, NotDominant, NotUgly
 from .lattice import GenericShift, Mode, _vec_text, reject_floor_boundaries, weighted_root_sum
-from .linalg import Vec, add, dot, gram_pair, mat_vec, scale, vec
+from .linalg import Scalar, Vec, add, div, dot, exact, gram_pair, mat_vec, scale, vec
 from .roots import RestrictedRootSystem, WeylElement
 
 
@@ -47,20 +46,20 @@ class MonotoneData:
     """
 
     system: RestrictedRootSystem
-    tau: Fraction
+    tau: Scalar
     rho: Vec
     x0: Vec
 
 
-def default_tau(system: RestrictedRootSystem) -> Fraction:
+def default_tau(system: RestrictedRootSystem) -> Scalar:
     """Normalization making the smallest simple value alpha(X0) equal one."""
     rho = weighted_root_sum(system)
     smallest = min(system.pairing(beta, rho) for beta in system.simple_roots)
-    return Fraction(1, 2) / smallest
+    return div(1, 2 * smallest)
 
 
-def monotone_data(system: RestrictedRootSystem, tau: Fraction | None = None) -> MonotoneData:
-    tau = default_tau(system) if tau is None else Fraction(tau)
+def monotone_data(system: RestrictedRootSystem, tau: Scalar | None = None) -> MonotoneData:
+    tau = default_tau(system) if tau is None else exact(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
     rho = weighted_root_sum(system)
@@ -154,7 +153,7 @@ def ugly_index(q: Vec, w: WeylElement, shift: GenericShift) -> int:
     return table.degree(w_in, row) - table.degree(k, row)
 
 
-def filtration_weight(w: WeylElement, shift: GenericShift) -> Fraction:
+def filtration_weight(w: WeylElement, shift: GenericShift) -> Scalar:
     """Multiplicity-weighted fractional parts of 2 alpha(a) over R+ of w X0."""
     table = index_table(shift)
     return table.filtration[table.position[w]]
@@ -196,19 +195,16 @@ def capping_maslov(system: RestrictedRootSystem, q: Vec) -> int:
 
     The oracle of ``IndexTable.maslov``, which ``verify`` reads instead.
     """
-    total = -2 * sum(
-        (system.mult[al] * system.pairing(al, q) for al in system.positive_roots),
-        Fraction(0),
-    )
+    total = -2 * sum(system.mult[al] * system.pairing(al, q) for al in system.positive_roots)
     if total.denominator != 1:
         raise InvariantViolation("capping Maslov index is not an integer; lattice data invalid")
     return int(total)
 
 
-def capping_area(q: Vec, md: MonotoneData) -> Fraction:
+def capping_area(q: Vec, md: MonotoneData) -> Scalar:
     """Symplectic area of the capping class q; equals tau times the Maslov index.
 
-    Computed as a Fraction pairing and checked against ``capping_maslov``.
+    Computed as an exact pairing and checked against ``capping_maslov``.
     The oracle of ``IndexTable.certify_area``: ``verify`` reads
     tau * ``IndexTable.maslov`` instead.
     """
@@ -343,8 +339,8 @@ class IndexTable:
         self.position: dict[WeylElement, int] = {w: k for k, w in enumerate(group)}
         den = math.lcm(*(t.denominator for t in two_alpha_a))
         frac_num = [int((t - f) * den) for t, f in zip(two_alpha_a, self.floor_a)]
-        self.filtration: list[Fraction] = [
-            Fraction(sum(self.mult[i] * frac_num[i] for i in pos), den) for pos in self.positive
+        self.filtration: list[Scalar] = [
+            div(sum(self.mult[i] * frac_num[i] for i in pos), den) for pos in self.positive
         ]
 
     def floors_at(self, q: Vec) -> tuple[int, ...]:
@@ -424,7 +420,7 @@ class IndexTable:
         """G a for the shift a."""
         return mat_vec(self.system.gram, self.a)
 
-    def _pairs_on_basis(self, x: Vec, pos: Sequence[int], tau: Fraction) -> bool:
+    def _pairs_on_basis(self, x: Vec, pos: Sequence[int], tau: Scalar) -> bool:
         """Whether <b, x> = tau * sum over pos of m_alpha 2*alpha(b) at every
         lattice basis vector b; both sides are linear in b, so then at every
         lattice point."""
@@ -434,7 +430,7 @@ class IndexTable:
             for j, gb in enumerate(self._basis_covectors)
         )
 
-    def certify_implication(self, x0_images: Sequence[Vec], tau: Fraction) -> bool:
+    def certify_implication(self, x0_images: Sequence[Vec], tau: Scalar) -> bool:
         """Whether no pair of generators can violate ``zero_index_implication``.
 
         ``x0_images[k]`` is w_k(x0).  Checks, for every chamber element, the
@@ -458,7 +454,7 @@ class IndexTable:
                 return False
         return True
 
-    def certify_area(self, x0: Vec, tau: Fraction) -> bool:
+    def certify_area(self, x0: Vec, tau: Scalar) -> bool:
         """Whether ``capping_area`` equals tau * ``maslov`` at every window point.
 
         Checks -<b, x0> = tau * mu(b) on the lattice basis, which proves it

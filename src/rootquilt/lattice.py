@@ -16,7 +16,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -28,7 +27,10 @@ from .errors import (
     NotRegular,
     NotSmall,
 )
-from .linalg import Mat, Vec, add, format_vec, inverse, is_integral, mat_mul, mat_vec, scale, transpose, vec, zero_vec
+from .linalg import (
+    Mat, Scalar, Vec, add, div, exact, format_vec, inverse, is_integral, mat_mul, mat_vec, scale,
+    transpose, vec, zero_vec,
+)
 from .roots import RestrictedRootSystem, WeylElement
 
 DEFAULT_POINT_CAP = 500_000
@@ -109,7 +111,7 @@ class Lattice:
                 if not self.contains(w(b)):
                     raise LatticeNotStable(f"{w.name} moves basis vector {_vec_text(b)} off the lattice")
 
-    def points(self, radius: Fraction, cap: int = DEFAULT_POINT_CAP) -> list[Vec]:
+    def points(self, radius: Scalar, cap: int = DEFAULT_POINT_CAP) -> list[Vec]:
         """All lattice points with Gram norm at most radius.
 
         Ordered by (norm squared, basis coordinates), so smaller windows are
@@ -117,7 +119,7 @@ class Lattice:
         basis coordinates is swept in integers: with the norm matrix scaled
         to integers by D, a point is kept exactly when q2*D <= floor(r2*D).
         """
-        radius = Fraction(radius)
+        radius = exact(radius)
         if radius < 0:
             raise ValueError("radius must be non-negative")
         r2 = radius * radius
@@ -134,16 +136,6 @@ class Lattice:
         return [self.from_coords(c) for _, c in found]
 
 
-def weyl_action(lattice: Lattice, w: WeylElement, q: Vec) -> Vec:
-    """Apply w to a lattice point; the image must stay on the lattice."""
-    if not lattice.contains(q):
-        raise LatticeNotStable(f"{_vec_text(q)} is not a lattice point")
-    image = w(q)
-    if not lattice.contains(image):
-        raise LatticeNotStable(f"{w.name} moves {_vec_text(q)} off the lattice")
-    return image
-
-
 class Mode(enum.Enum):
     REGULAR_ONLY = "regular_only"
     SMALL_IN_CHAMBER = "small_in_chamber"
@@ -157,7 +149,7 @@ class GenericShift:
     lattice: Lattice
     a: Vec
     mode: Mode
-    window_radius: Fraction
+    window_radius: Scalar
     _table: object = field(default=None, repr=False, compare=False)  # see indices.index_table
 
     def window_points(self) -> list[Vec]:
@@ -165,7 +157,7 @@ class GenericShift:
         return index_table(self).points
 
 
-def reject_floor_boundaries(roots: Sequence[Vec], two_alpha_a: Sequence[Fraction]) -> None:
+def reject_floor_boundaries(roots: Sequence[Vec], two_alpha_a: Sequence[Scalar]) -> None:
     """Raise FloorBoundary, named at the origin, at the first integer 2*alpha(a)."""
     for al, val in zip(roots, two_alpha_a):
         if val.denominator == 1:
@@ -180,7 +172,7 @@ def validate_generic(
     lattice: Lattice,
     a: Vec,
     mode: Mode = Mode.SMALL_IN_CHAMBER,
-    radius: Fraction = Fraction(0),
+    radius: Scalar = 0,
 ) -> GenericShift:
     """Exact finite certification of a shift over roots x window points.
 
@@ -201,7 +193,7 @@ def validate_generic(
     is the unique filtration minimum.
     """
     a = vec(a)
-    radius = Fraction(radius)
+    radius = exact(radius)
     walls = [al for al in system.roots if system.pairing(al, a) == 0]
     if walls:
         raise NotRegular(walls)
@@ -214,14 +206,14 @@ def validate_generic(
             if system.pairing(beta, a) <= 0:
                 raise NotInChamber(f"shift fails beta={_vec_text(beta)}")
         for al, val in zip(system.roots, two_alpha_a):
-            if abs(val) >= Fraction(1, 2):
+            if 2 * abs(val) >= 1:
                 raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec_text(al)}")
     return GenericShift(system, lattice, a, mode, radius)
 
 
 def weighted_root_sum(system: RestrictedRootSystem) -> Vec:
     """Sum of the positive roots weighted by multiplicity, as a vector."""
-    total = vec([0] * system.rank)
+    total = zero_vec(system.rank)
     for al in system.positive_roots:
         total = add(total, scale(system.mult[al], al))
     return total
@@ -231,7 +223,7 @@ def canonical_shift(
     system: RestrictedRootSystem,
     lattice: Lattice,
     mode: Mode = Mode.SMALL_IN_CHAMBER,
-    radius: Fraction = Fraction(0),
+    radius: Scalar = 0,
 ) -> GenericShift:
     """The reproducible default shift epsilon * rho-dual.
 
@@ -261,7 +253,7 @@ def canonical_shift(
             continue
         if small and any(2 * abs(p) >= q * k for p, q in pairs):
             continue
-        return validate_generic(system, lattice, scale(Fraction(1, k), rho), mode, radius)
+        return validate_generic(system, lattice, scale(div(1, k), rho), mode, radius)
     raise InvariantViolation("no canonical shift found; data is degenerate")
 
 

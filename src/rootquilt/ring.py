@@ -15,12 +15,11 @@ unverified sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotInImplementedSector, WindowTooSmall
 from .indices import index_table
 from .lattice import GenericShift, Generator
-from .linalg import Vec, add, sub
+from .linalg import Scalar, Vec, add, sub
 from .roots import WeylElement
 
 
@@ -111,7 +110,7 @@ class LeadingTerm:
 
     q: Vec
     w: WeylElement
-    filtration: Fraction
+    filtration: Scalar
 
 
 def leading_term(q: Vec, shift: GenericShift) -> LeadingTerm:
@@ -132,7 +131,7 @@ class CertificateRow:
     q: Vec
     witness: Vec  # q' with chamber_of(q'+a) = w
     exponent: Vec  # s with star_unit_sector(s, y[w;q']) = y[w;q]
-    filtration: Fraction
+    filtration: Scalar
 
 
 @dataclass

@@ -23,17 +23,21 @@ from typing import Iterable, Mapping
 from .errors import BudgetExceeded, InvariantViolation, NotRegular, UnknownRoot
 from .linalg import (
     Mat,
+    Scalar,
     Vec,
+    add,
+    div,
     dot,
     gram_pair,
-    identity,
     inverse,
     is_symmetric,
     leading_minors_positive,
+    mat,
     mat_mul,
     mat_vec,
     matrix_rank,
     reflect,
+    scale,
     transpose,
     vec,
 )
@@ -155,7 +159,7 @@ class RestrictedRootSystem:
         *,
         _closed: bool = False,
     ):
-        self.gram: Mat = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        self.gram: Mat = mat(gram)
         self.rank: int = len(self.gram)
         self.roots: tuple[Vec, ...] = tuple(sorted(vec(r) for r in roots))
         self.mult: dict[Vec, int] = {vec(r): int(m) for r, m in mult.items()}
@@ -167,14 +171,14 @@ class RestrictedRootSystem:
 
     # -- pairings ------------------------------------------------------
 
-    def pairing(self, alpha: Vec, v: Vec) -> Fraction:
+    def pairing(self, alpha: Vec, v: Vec) -> Scalar:
         """The value alpha(v), as a Gram pairing of metric duals."""
         covector = self._covector.get(alpha)
         if covector is None:
             return gram_pair(self.gram, alpha, v)
         return dot(covector, v)
 
-    def norm2(self, v: Vec) -> Fraction:
+    def norm2(self, v: Vec) -> Scalar:
         return gram_pair(self.gram, v, v)
 
     def reflect(self, alpha: Vec, v: Vec) -> Vec:
@@ -183,10 +187,6 @@ class RestrictedRootSystem:
         if covector is None:
             raise UnknownRoot(f"{alpha} is not a root")
         return reflect(covector, alpha, v)
-
-    def reflection_matrix(self, alpha: Vec) -> Mat:
-        cols = [self.reflect(alpha, e) for e in (identity(self.rank))]
-        return tuple(zip(*cols, strict=True))
 
     # -- positive systems and chambers ---------------------------------
 
@@ -217,7 +217,7 @@ class RestrictedRootSystem:
     def indivisible_positive_roots(self) -> tuple[Vec, ...]:
         """Positive roots whose half is not a root."""
         if not hasattr(self, "_indivisible"):
-            doubles = {tuple(2 * x for x in a) for a in self.roots}
+            doubles = {scale(2, a) for a in self.roots}
             self._indivisible = tuple(a for a in self.positive_roots if a not in doubles)
         return self._indivisible
 
@@ -230,7 +230,7 @@ class RestrictedRootSystem:
         """
         if not hasattr(self, "_simple"):
             pos = set(self.positive_roots)
-            sums = {tuple(b + g for b, g in zip(x, y)) for x in pos for y in pos}
+            sums = {add(x, y) for x in pos for y in pos}
             simple = [a for a in self.indivisible_positive_roots if a not in sums]
             if len(simple) != self.rank:
                 raise InvariantViolation(
@@ -342,8 +342,7 @@ class RestrictedRootSystem:
             raise InvariantViolation("base point is not regular")
 
     def _check_multiples(self) -> None:
-        allowed = {Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-                   Fraction(1, 2), Fraction(-1, 2)}
+        allowed = {1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)}
         for i, a in enumerate(self.roots):
             for b in self.roots[i + 1 :]:
                 ratio = _proportionality(a, b)
@@ -357,15 +356,15 @@ class RestrictedRootSystem:
         return f"RestrictedRootSystem({label}, {len(self.roots)} roots)"
 
 
-def _proportionality(a: Vec, b: Vec) -> Fraction | None:
+def _proportionality(a: Vec, b: Vec) -> Scalar | None:
     """Return c with b = c*a if the vectors are parallel, else None."""
-    ratio: Fraction | None = None
+    ratio: Scalar | None = None
     for x, y in zip(a, b):
         if x == 0:
             if y != 0:
                 return None
             continue
-        r = y / x
+        r = div(y, x)
         if ratio is None:
             ratio = r
         elif ratio != r:

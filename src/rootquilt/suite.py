@@ -15,14 +15,13 @@ bytes depend on the window alone.  No check starts a worker process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import json
 
 from .catalog import CatalogEntry
 from .errors import InvariantViolation, RootQuiltError
 from .indices import IndexTable, MonotoneData, index_table, monotone_data, parity_report, poincare_polynomial
 from .lattice import GenericShift, Mode, canonical_shift, validate_generic, weighted_root_sum
-from .linalg import Vec, format_rational, format_vec, scale
+from .linalg import Scalar, Vec, format_rational, format_vec, scale
 from .ring import finitely_generated_witness, r_module_basis_check, triangularity_certificate
 from .triangle import boundary_deviation, build_triple, plane_model, solve_triangle, verify_hull
 
@@ -95,12 +94,8 @@ class Report:
         self.checks.append(CheckResult(name, "advisory", detail))
 
     def add_row(self, section: str, item: str, value) -> None:
-        if isinstance(value, float):
-            text = f"{value:.12g}"
-        elif isinstance(value, Fraction):
-            text = format_rational(value)
-        else:
-            text = str(value)
+        # str of an int or Fraction is its format_rational; a float check skips ABCMeta
+        text = f"{value:.12g}" if isinstance(value, float) else str(value)
         self.rows.append({"section": section, "item": item, "value": text})
 
     def to_document(self) -> dict:
@@ -173,7 +168,7 @@ def _add_bad_ugly_sweep(report: Report, table: IndexTable, points: list[Vec], el
 
 
 def _add_implication_check(
-    report: Report, table: IndexTable, x0_images: list[Vec], tau: Fraction
+    report: Report, table: IndexTable, x0_images: list[Vec], tau: Scalar
 ) -> None:
     """Report the implication over every ordered pair of generators, read
     off ``IndexTable.certify_implication``.
@@ -210,21 +205,21 @@ def _add_area_sweep(report: Report, table: IndexTable, points: list[Vec], md: Mo
 
 def build_shift(
     entry: CatalogEntry,
-    epsilon: Fraction | None,
-    radius: Fraction,
+    epsilon: Scalar | None,
+    radius: Scalar,
     mode: Mode = Mode.SMALL_IN_CHAMBER,
 ) -> GenericShift:
     if epsilon is None:
         return canonical_shift(entry.system, entry.lattice, mode, radius)
-    a = scale(Fraction(epsilon), weighted_root_sum(entry.system))
+    a = scale(epsilon, weighted_root_sum(entry.system))
     return validate_generic(entry.system, entry.lattice, a, mode, radius)
 
 
 def run_suite(
     entry: CatalogEntry,
-    tau: Fraction | None = None,
-    epsilon: Fraction | None = None,
-    radius: Fraction = Fraction(3),
+    tau: Scalar | None = None,
+    epsilon: Scalar | None = None,
+    radius: Scalar = 3,
     triangle_data: tuple = (),
     quad_nodes: int = 256,
     tol: float = 1e-9,
@@ -239,9 +234,9 @@ def run_suite(
 
 def _run_suite(
     entry: CatalogEntry,
-    tau: Fraction | None,
-    epsilon: Fraction | None,
-    radius: Fraction,
+    tau: Scalar | None,
+    epsilon: Scalar | None,
+    radius: Scalar,
     triangle_data: tuple,
     quad_nodes: int,
     tol: float,
@@ -262,7 +257,7 @@ def _run_suite(
         operation="verify",
         parameters={
             "tau": format_rational(md.tau),
-            "epsilon": "canonical" if epsilon is None else format_rational(Fraction(epsilon)),
+            "epsilon": "canonical" if epsilon is None else format_rational(epsilon),
             "a": format_vec(shift.a),
             "radius": format_rational(radius),
             "mode": shift.mode.value,

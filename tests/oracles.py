@@ -22,6 +22,11 @@ quadratic pair loop that the implication certificate replaced, and
 ``chamber_witnesses`` the first window point in each chamber, found by
 ``chamber_of``.  The differential tests compare the code in ``rootquilt``
 with all of them.
+
+``dot``, ``reflect`` and ``close_orbits`` are the exact kernel as it was
+before it kept integral values as ``int``: every scalar a ``Fraction``.
+``weyl_action`` and ``reflection_matrix`` were public helpers that no
+command reached; the tests that used them keep them here.
 """
 
 import math
@@ -34,6 +39,7 @@ from rootquilt.errors import (
     Degenerate,
     FloorBoundary,
     InvariantViolation,
+    LatticeNotStable,
     ModeMismatch,
     NotUgly,
 )
@@ -43,6 +49,7 @@ from rootquilt.lattice import (
     GenericShift,
     Lattice,
     Mode,
+    _vec_text,
     validate_generic,
     weighted_root_sum,
 )
@@ -51,6 +58,10 @@ from rootquilt.linalg import (
     Vec,
     add,
     format_vec,
+    gram_pair,
+    identity,
+    leading_minors_positive,
+    mat_vec,
     matrix_rank,
     rref,
     scale,
@@ -493,3 +504,105 @@ def add_implication_sweep(
             f" -> ({w_out.name};{format_vec(q_out)})"
         )
     report.add_check("implication_sweep", violations == 0, detail)
+
+
+# -- the all-Fraction exact kernel ---------------------------------------------
+
+
+def dot(u: Vec, v: Vec) -> Fraction:
+    """The exact sum of products, reduced to lowest terms once at the end.
+
+    Summing ``Fraction`` products would normalise (one gcd) after every
+    product and every partial sum; here the terms are accumulated as one
+    integer numerator over a running denominator, which a term's denominator
+    multiplies only when it is neither 1 nor equal to it.
+    """
+    num, den = 0, 1
+    for a, b in zip(u, v, strict=True):
+        p = a.numerator * b.numerator
+        q = a.denominator * b.denominator
+        if q == den:
+            num += p
+        elif q == 1:
+            num += p * den
+        else:
+            num = num * q + p * den
+            den *= q
+    return Fraction(num, den)
+
+
+def reflect(g_alpha: Vec, alpha: Vec, v: Vec) -> Vec:
+    """Reflection of v across the hyperplane orthogonal to alpha.
+
+    ``g_alpha`` is the covector gram * alpha of a symmetric gram, which the
+    caller computes once per root rather than once per reflection.
+    """
+    c = 2 * dot(g_alpha, v) / dot(g_alpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha))
+
+
+def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
+    """Close seed roots under all reflections and assign orbit multiplicities.
+
+    One worklist pass reflects every ordered pair of roots once, through the
+    covector gram * root computed once per root found.  An image takes the
+    multiplicity and seed of the root it came from; reflections keep roots
+    in their Weyl orbit, so a root reached with two multiplicities means two
+    declared orbits meet, and raises ``InvariantViolation``.  So does a Gram
+    matrix that is not positive definite, checked after the seeds: under an
+    indefinite form the reflected roots grow without bound and never close.
+    """
+    for s, _ in seeds:
+        if all(x == 0 for x in s):
+            raise InvariantViolation("zero vector cannot seed a root orbit")
+        if gram_pair(gram, s, s) == 0:  # reflections keep lengths, so seeds cover every root
+            raise InvariantViolation(f"seed {_vec_text(s)} has zero squared length")
+    if not leading_minors_positive(gram):
+        raise InvariantViolation("gram matrix is not positive definite")
+    # roots[k] came from the orbit of seed_of[k] with multiplicity mults[k];
+    # index is the one lookup by vector, so each image is hashed once
+    index: dict[Vec, int] = {}
+    roots: list[Vec] = []
+    covectors: list[Vec] = []
+    mults: list[int] = []
+    seed_of: list[Vec] = []
+
+    def found(root: Vec, m: int, seed: Vec) -> None:
+        k = index.setdefault(root, len(roots))
+        if k == len(roots):
+            if k == 10_000:
+                raise InvariantViolation("orbit closure did not stabilize")
+            roots.append(root)
+            covectors.append(mat_vec(gram, root))
+            mults.append(m)
+            seed_of.append(seed)
+        elif mults[k] != m:
+            raise InvariantViolation(f"conflicting multiplicities on orbit of {_vec_text(seed)}")
+
+    for s, m in seeds:
+        found(s, m, s)
+        found(tuple(-x for x in s), m, s)
+    for i, a in enumerate(roots):  # the list grows while it is walked
+        for j in range(i + 1):
+            found(reflect(covectors[i], a, roots[j]), mults[j], seed_of[j])
+            if j < i:
+                found(reflect(covectors[j], roots[j], a), mults[i], seed_of[i])
+    return dict(zip(roots, mults))
+
+
+# -- helpers that no command reached ---------------------------------------------
+
+
+def weyl_action(lattice: Lattice, w: WeylElement, q: Vec) -> Vec:
+    """Apply w to a lattice point; the image must stay on the lattice."""
+    if not lattice.contains(q):
+        raise LatticeNotStable(f"{_vec_text(q)} is not a lattice point")
+    image = w(q)
+    if not lattice.contains(image):
+        raise LatticeNotStable(f"{w.name} moves {_vec_text(q)} off the lattice")
+    return image
+
+
+def reflection_matrix(system: RestrictedRootSystem, alpha: Vec) -> Mat:
+    cols = [system.reflect(alpha, e) for e in (identity(system.rank))]
+    return tuple(zip(*cols, strict=True))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rootquilt import InvariantViolation, NotRegular, RestrictedRootSystem, UnknownRoot, get_entry
 from rootquilt.lattice import canonical_shift
 from rootquilt.linalg import gram_pair, identity, inverse, mat_mul, mat_vec
@@ -115,7 +116,7 @@ def test_f4_order_with_parabolic_coset_oracle(f4_system):
     for a in long_pair:
         for b in short_pair:
             assert f4_system.pairing(a, b) == 0
-    gens = [f4_system.reflection_matrix(r) for r in long_pair + short_pair]
+    gens = [oracles.reflection_matrix(f4_system, r) for r in long_pair + short_pair]
     sub = {identity(4)}
     frontier = [identity(4)]
     while frontier:
@@ -132,7 +133,7 @@ def test_f4_order_with_parabolic_coset_oracle(f4_system):
     u = (F(97), F(31), F(7), F(2))
     base_orbit = frozenset(mat_vec(m, u) for m in sub)
     assert len(base_orbit) == 36
-    simple_gens = [f4_system.reflection_matrix(r) for r in f4_system.simple_roots]
+    simple_gens = [oracles.reflection_matrix(f4_system, r) for r in f4_system.simple_roots]
     cosets = {base_orbit}
     frontier = [base_orbit]
     while frontier:
@@ -333,7 +334,7 @@ def test_pairing_matches_the_gram_pairing(catalog, f4_system):
             for v in vs:
                 assert sys_.pairing(alpha, v) == gram_pair(sys_.gram, alpha, v)
         # not a root: the pairing falls back to the Gram matrix
-        half = tuple(x / 3 for x in sys_.roots[0])
+        half = tuple(F(x) / 3 for x in sys_.roots[0])
         assert sys_.pairing(half, vs[0]) == gram_pair(sys_.gram, half, vs[0])
 
 
@@ -345,7 +346,7 @@ def matrix_bfs(system):
 
     Returns the elements as (matrix, word) pairs in discovery order.
     """
-    gens = [system.reflection_matrix(a) for a in system.simple_roots]
+    gens = [oracles.reflection_matrix(system, a) for a in system.simple_roots]
     ident = (identity(system.rank), ())
     elements = [ident]
     seen = {ident[0]}
@@ -393,7 +394,7 @@ def walk_element(system, by_matrix, v):
     """(matrix, word) of the element the descent walk finds for v."""
     m = identity(system.rank)
     for i in descent_walk(system, v):
-        m = mat_mul(m, system.reflection_matrix(system.simple_roots[i]))
+        m = mat_mul(m, oracles.reflection_matrix(system, system.simple_roots[i]))
     return m, by_matrix[m]
 
 
