@@ -18,9 +18,10 @@ structure), so the solution is conjugate-conformal: a single
 Schwarz-Christoffel integral evaluated at the conjugated disk variable.
 Three prevertices leave no accessory parameters; a Gauss-Jacobi rule for
 the weight (1 - x)^alpha absorbs the endpoint singularities.  Its nodes are
-the roots of the Jacobi polynomial P_n^(alpha, 0), found by Newton's method
-from closed-form guesses, with P_n evaluated by its three-term recurrence,
-so the rule needs numpy alone.  Other points z are integrated along the
+the roots of the Jacobi polynomial P_n^(alpha, 0), found by Halley's method
+from closed-form guesses in three passes of the three-term recurrence for
+P_n and P_n', with P_n'' read off the Jacobi differential equation, so the
+rule needs numpy alone.  Other points z are integrated along the
 path t z, cut at t = 1 - 2^-j for j = 1, ..., max(1, ceil(log2(2 / d)))
 with d the distance from z to the nearest prevertex, with the alpha = 0
 case of the same builder, the Gauss-Legendre rule, on each panel.  Every
@@ -183,12 +184,6 @@ class PlaneModel:
     u_dir: Vec
     v_dir: Vec
 
-    def embed(self, x: Fraction, y: Fraction) -> Vec:
-        return add(
-            self.base,
-            add(tuple(x * c for c in self.u_dir), tuple(y * c for c in self.v_dir)),
-        )
-
     def coordinates(self, p: Vec) -> tuple[Fraction, Fraction]:
         rows = [vec([u, v]) for u, v in zip(self.u_dir, self.v_dir)]
         sol = solve_unique(rows, sub(p, self.base))
@@ -226,16 +221,6 @@ def plane_model(triple: AffineLagrangianTriple) -> PlaneModel:
     return model
 
 
-def segment_in_closed_chamber(
-    system: RestrictedRootSystem, w: WeylElement, start: Vec, end: Vec
-) -> bool:
-    """Whether the segment lies in the closed w-chamber (convexity: endpoints suffice)."""
-    pos = system.positive_system(w(system.base_point))
-    return all(
-        system.pairing(al, p) >= 0 for al in pos for p in (start, end)
-    )
-
-
 # -- the conformal triangle map --------------------------------------------
 
 PREVERTICES = (1.0 + 0.0j, 1.0j, -1.0j)
@@ -258,12 +243,19 @@ def _sc_derivative(zeta: np.ndarray) -> np.ndarray:
     """
     # For |zeta| < 1 each factor has argument in (-pi/2, pi/2), so arg P and
     # arg(s Q) lie in (-pi, pi) and each principal root is the principal power.
-    s = np.sqrt((1.0 - zeta) * (1.0 - 1j * zeta))
-    return 1.0 / (s * np.sqrt(s * (1.0 + 1j * zeta)))
+    iz = 1j * zeta
+    s = 1.0 - zeta
+    s *= 1.0 - iz
+    np.sqrt(s, out=s)
+    iz += 1.0
+    iz *= s
+    np.sqrt(iz, out=iz)
+    iz *= s
+    return np.divide(1.0, iz, out=iz)
 
 
-# Newton from the closed-form guesses moves less than 1e-15 by its fifth step
-# at the latest for alpha in {-0.99, -3/4, -1/2, 0} and every n from 2 to 2048.
+# Halley from the closed-form guesses moves less than 1e-15 by its third step (its fourth
+# for n < 4 or alpha = -0.99) for alpha in {-0.99, -3/4, -1/2, 0} and n from 2 to 2048.
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-15
 
@@ -296,42 +288,52 @@ def _jacobi_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return cur, deriv
 
 
+def _jacobi_guesses(n: int, alpha: float) -> np.ndarray:
+    """The closed-form guesses x_k = cos(pi (4k - 1 + 2 alpha) / (4n + 2 alpha + 2))."""
+    k = np.arange(1, n + 1)
+    return np.cos(math.pi * (4 * k - 1 + 2 * alpha) / (4 * n + 2 * alpha + 2))
+
+
 @functools.lru_cache(maxsize=32)
 def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule for (1 - x)^alpha on [-1, 1].
 
-    The nodes are the roots of P_n^(alpha, 0), reached by vectorized Newton
-    steps from x_k = cos(pi (4k - 1 + 2 alpha) / (4n + 2 alpha + 2)); the
-    weights are proportional to 1 / ((1 - x^2) P_n'(x)^2), scaled to the
-    exact mass 2^(alpha + 1) / (alpha + 1).  Newton steps that do not settle
-    below 1e-15 within the step cap, or nodes that are not strictly
-    increasing inside (-1, 1), raise ``QuadratureNotConverged``.  The cached
-    arrays are read-only.
+    The nodes are the roots of P_n^(alpha, 0), reached by vectorized Halley
+    steps from ``_jacobi_guesses`` with P_n'' from the Jacobi equation
+    (1 - x^2) P_n'' = (alpha + (alpha + 2) x) P_n' - n (n + alpha + 1) P_n.
+    The pass whose steps all fall below 1e-15 also gives the weights,
+    1 / ((1 - x^2) P_n'(x)^2) at the points it evaluated, scaled to the
+    exact mass 2^(alpha + 1) / (alpha + 1).  Steps that do not settle within
+    the step cap, or nodes that are not strictly increasing inside (-1, 1),
+    raise ``QuadratureNotConverged``.  The cached arrays are read-only.
     """
-    k = np.arange(1, n + 1)
-    x = np.cos(math.pi * (4 * k - 1 + 2 * alpha) / (4 * n + 2 * alpha + 2))
+    x = _jacobi_guesses(n, alpha)
+    eigenvalue = n * (n + alpha + 1.0)
     moved = math.inf
     for _ in range(_NEWTON_STEPS):
         p, dp = _jacobi_pair(n, alpha, x)
-        step = p / dp
-        x = x - step
+        ratio = p / dp
+        bend = (alpha + (alpha + 2.0) * x - eigenvalue * ratio) / (1.0 - x * x)  # P_n'' / P_n'
+        step = ratio / (1.0 - 0.5 * ratio * bend)
         moved = float(np.max(np.abs(step)))
         if moved < _NEWTON_TOL:
             break
+        x = x - step
     else:
         raise QuadratureNotConverged(moved, _NEWTON_TOL)
-    x = np.sort(x)
-    if not (x[0] > -1.0 and x[-1] < 1.0 and np.all(np.diff(x) > 0)):
+    nodes = x - step
+    order = np.argsort(nodes)
+    nodes, x, dp = nodes[order], x[order], dp[order]
+    if not (nodes[0] > -1.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0)):
         raise QuadratureNotConverged(
             moved, _NEWTON_TOL, f"Gauss-Jacobi nodes for n={n}, alpha={alpha} are not "
             "strictly increasing inside (-1, 1)"
         )
-    _, dp = _jacobi_pair(n, alpha, x)
     w = 1.0 / ((1.0 - x * x) * dp * dp)
     w *= 2.0 ** (alpha + 1.0) / (alpha + 1.0) / np.sum(w)
-    x.setflags(write=False)
+    nodes.setflags(write=False)
     w.setflags(write=False)
-    return x, w
+    return nodes, w
 
 
 def _corner_integral(k: int, nodes: int) -> complex:
@@ -394,9 +396,9 @@ class TriangleMapSolution:
         O(rho^(-2m)): about 1e-20 at 16 points and 8e-16 at 12.  Within
         about 1e-9 of a prevertex the rounding of z t near t = 1 dominates
         instead (about 1e-11 at d = 3e-10).  Points with the same panel
-        count are evaluated together, one (points x panels x nodes) block at
-        a time.  The origin and the prevertices themselves take their exact
-        values.
+        count are evaluated together, one (points x panels * nodes) block at
+        a time, against weights that carry each panel's half-length.  The
+        origin and the prevertices themselves take their exact values.
         """
         out = np.zeros(zs.shape, dtype=complex)
         gaps = np.abs(zs[:, None] - np.array(PREVERTICES)[None, :])
@@ -410,19 +412,16 @@ class TriangleMapSolution:
             breaks = np.array([0.0] + [1.0 - 0.5**j for j in range(1, level + 1)] + [1.0])
             half = (breaks[1:] - breaks[:-1]) / 2.0
             mid = (breaks[1:] + breaks[:-1]) / 2.0
-            t = mid[:, None] + half[:, None] * self._gl_nodes[None, :]
+            t = (mid[:, None] + half[:, None] * self._gl_nodes).ravel()
+            wts = (half[:, None] * self._gl_weights).ravel()
             idx = np.flatnonzero(live & (levels == level))
             step = max(1, _BLOCK_VALUES // t.size)
             for chunk in np.split(idx, range(step, len(idx), step)):
                 z = zs[chunk]
-                vals = _sc_derivative(z[:, None, None] * t[None, :, :])
-                per_panel = half * np.sum(vals * self._gl_weights, axis=2)
-                out[chunk] = z * np.sum(per_panel, axis=1)
+                vals = _sc_derivative(np.multiply.outer(z, t))
+                vals *= wts
+                out[chunk] = z * vals.sum(axis=1)
         return out
-
-    def map_point(self, z: complex) -> complex:
-        """Image of a disk point; the real and imaginary parts are (x, y)."""
-        return self.map_points(np.array([z]))[0]
 
     def map_points(self, zs) -> np.ndarray:
         """Images of an array of disk points, in the shape of the input.

@@ -9,7 +9,10 @@ Gauss-Legendre error bound, ``mobius_through`` the Mobius coefficients by a
 LAPACK inverse, as they were before the closed-form adjugate,
 ``leading_minors_positive`` the Sylvester test as it was before it ran in
 one elimination, with ``det`` per leading minor, and ``canonical_shift`` the
-epsilon scan as it was before it ran in integers.
+epsilon scan as it was before it ran in integers.  ``newton_gauss_jacobi``
+is the Gauss-Jacobi rule as it was built before Halley steps: Newton steps
+until every step is below 1e-15, then one more recurrence pass for the
+weights.
 
 The per-datum index quantities (``relative_degree``, ``classify``,
 ``quilt_index``, ``ugly_index``, ``filtration_weight``, ``morse_index``,
@@ -25,8 +28,10 @@ with all of them.
 
 ``dot``, ``reflect`` and ``close_orbits`` are the exact kernel as it was
 before it kept integral values as ``int``: every scalar a ``Fraction``.
-``weyl_action`` and ``reflection_matrix`` were public helpers that no
-command reached; the tests that used them keep them here.
+``weyl_action``, ``reflection_matrix``, ``segment_in_closed_chamber``,
+``embed`` (once ``PlaneModel.embed``) and ``map_point`` (once
+``TriangleMapSolution.map_point``) were public helpers that no command
+reached; the tests that used them keep them here.
 """
 
 import math
@@ -42,6 +47,7 @@ from rootquilt.errors import (
     LatticeNotStable,
     ModeMismatch,
     NotUgly,
+    QuadratureNotConverged,
 )
 from rootquilt.indices import MonotoneData, ParityReport, QuiltClass, QuiltDatum
 from rootquilt.lattice import (
@@ -74,7 +80,15 @@ from rootquilt.ring import LeadingTerm
 from rootquilt.roots import RestrictedRootSystem
 from rootquilt.roots import WeylElement
 from rootquilt.suite import Report
-from rootquilt.triangle import AffineLagrangianTriple, AffineSubspace, PlaneModel, _sympl
+from rootquilt.triangle import (
+    _NEWTON_STEPS,
+    _NEWTON_TOL,
+    AffineLagrangianTriple,
+    AffineSubspace,
+    PlaneModel,
+    _jacobi_pair,
+    _sympl,
+)
 
 
 def _intersect(a: AffineSubspace, b: AffineSubspace) -> Vec | None:
@@ -182,6 +196,23 @@ def plane_model(triple: AffineLagrangianTriple) -> PlaneModel:
     return model
 
 
+def embed(model: PlaneModel, x: Fraction, y: Fraction) -> Vec:
+    return add(
+        model.base,
+        add(tuple(x * c for c in model.u_dir), tuple(y * c for c in model.v_dir)),
+    )
+
+
+def segment_in_closed_chamber(
+    system: RestrictedRootSystem, w: WeylElement, start: Vec, end: Vec
+) -> bool:
+    """Whether the segment lies in the closed w-chamber (convexity: endpoints suffice)."""
+    pos = system.positive_system(w(system.base_point))
+    return all(
+        system.pairing(al, p) >= 0 for al in pos for p in (start, end)
+    )
+
+
 # -- the numerical half -----------------------------------------------------
 
 
@@ -203,6 +234,48 @@ def jacobi_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.nda
     c = 2.0 * n + a
     deriv = (n * (a - c * x) * cur + 2.0 * n * (n + a) * prev) / (c * (1.0 - x * x))
     return cur, deriv
+
+
+def newton_gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for (1 - x)^alpha on [-1, 1].
+
+    The nodes are the roots of P_n^(alpha, 0), reached by vectorized Newton
+    steps from x_k = cos(pi (4k - 1 + 2 alpha) / (4n + 2 alpha + 2)); the
+    weights are proportional to 1 / ((1 - x^2) P_n'(x)^2), scaled to the
+    exact mass 2^(alpha + 1) / (alpha + 1).  Newton steps that do not settle
+    below 1e-15 within the step cap, or nodes that are not strictly
+    increasing inside (-1, 1), raise ``QuadratureNotConverged``.  The
+    arrays are read-only.
+    """
+    k = np.arange(1, n + 1)
+    x = np.cos(math.pi * (4 * k - 1 + 2 * alpha) / (4 * n + 2 * alpha + 2))
+    moved = math.inf
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _jacobi_pair(n, alpha, x)
+        step = p / dp
+        x = x - step
+        moved = float(np.max(np.abs(step)))
+        if moved < _NEWTON_TOL:
+            break
+    else:
+        raise QuadratureNotConverged(moved, _NEWTON_TOL)
+    x = np.sort(x)
+    if not (x[0] > -1.0 and x[-1] < 1.0 and np.all(np.diff(x) > 0)):
+        raise QuadratureNotConverged(
+            moved, _NEWTON_TOL, f"Gauss-Jacobi nodes for n={n}, alpha={alpha} are not "
+            "strictly increasing inside (-1, 1)"
+        )
+    _, dp = _jacobi_pair(n, alpha, x)
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    w *= 2.0 ** (alpha + 1.0) / (alpha + 1.0) / np.sum(w)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def map_point(sol, z: complex) -> complex:
+    """Image of a disk point; the real and imaginary parts are (x, y)."""
+    return sol.map_points(np.array([z]))[0]
 
 
 def segment_breaks(dist: float) -> np.ndarray:
