@@ -18,7 +18,6 @@ from .errors import (
     ModeMismatch,
     NotDominant,
     NotInChamber,
-    NotInImplementedSector,
     NotRegular,
     NotSmall,
     NotUgly,
@@ -61,7 +60,6 @@ from .lattice import (
 )
 from .ring import (
     LeadingTerm,
-    RingElement,
     finitely_generated_witness,
     leading_term,
     r_module_basis_check,

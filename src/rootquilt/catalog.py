@@ -20,10 +20,10 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import InvariantViolation, SchemaError
-from .lattice import Lattice, _vec_text, weighted_root_sum
+from .errors import InvariantViolation, RootQuiltError, SchemaError
+from .lattice import Lattice, weighted_root_sum
 from .linalg import (
-    Mat, Vec, gram_pair, is_symmetric, leading_minors_positive, mat_vec, matrix_rank,
+    Mat, Vec, _vec_text, gram_pair, is_symmetric, leading_minors_positive, mat_vec, matrix_rank,
     parse_rational, reflect,
 )
 from .roots import RestrictedRootSystem
@@ -229,30 +229,41 @@ def _parse_vec(raw) -> Vec:
 
 
 def _entry_from_raw(raw: dict) -> CatalogEntry:
-    name = raw["name"]
-    family = raw["cartan_type"]["family"]
-    rank = raw["cartan_type"]["rank"]
+    """Build and validate one entry; every error it raises starts with the entry's name."""
+    try:
+        return _build_entry(raw)
+    except RootQuiltError as exc:
+        exc.args = (f"entry {raw['name']!r}: {exc}",)
+        raise
+
+
+def _build_entry(raw: dict) -> CatalogEntry:
+    name, family = raw["name"], raw["cartan_type"]["family"]
+    # the schema admits integral floats such as 2.0; reports print the int
+    rank = int(raw["cartan_type"]["rank"])
+    dim_lambda = int(raw["dim_lambda"])
+    dim_space = int(raw["dim_space"]) if "dim_space" in raw else None
+    weyl_order = int(raw["weyl_order"]) if "weyl_order" in raw else None
     try:
         gram = tuple(map(_parse_vec, raw["gram"]))
         seeds = [(_parse_vec(o["seed"]), int(o["mult"])) for o in raw["orbits"]]
         basis = [_parse_vec(b) for b in raw["lattice_basis"]]
         base_point = _parse_vec(raw["base_point"])
     except ValueError as exc:
-        raise SchemaError(f"entry {name!r}: {exc}") from None
+        raise SchemaError(str(exc)) from None
     if len(gram) != rank or any(len(row) != rank for row in gram):
-        raise SchemaError(f"entry {name!r}: gram matrix is not {rank}x{rank}")
+        raise SchemaError(f"gram matrix is not {rank}x{rank}")
     if not is_symmetric(gram):
-        raise SchemaError(f"entry {name!r}: gram matrix is not symmetric")
+        raise SchemaError("gram matrix is not symmetric")
     if any(len(seed) != rank for seed, _ in seeds):
-        raise SchemaError(f"entry {name!r}: every orbit seed needs {rank} coordinates")
-    try:
-        mult = close_orbits(gram, seeds)
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"entry {name!r}: {exc}") from None
+        raise SchemaError(f"every orbit seed needs {rank} coordinates")
+    if len(base_point) != rank:
+        raise SchemaError(f"the base point needs {rank} coordinates")
+    mult = close_orbits(gram, seeds)
     spanned = matrix_rank(list(mult))
     if spanned != rank:
         raise InvariantViolation(
-            f"entry {name!r}: the seeded roots span {spanned} of {rank} dimensions; "
+            f"the seeded roots span {spanned} of {rank} dimensions; "
             "seed the simple roots, because orbits close only under reflections "
             "in roots already found"
         )
@@ -260,34 +271,22 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
     expected_count = _ROOT_COUNT[family](rank)
     if len(system.roots) != expected_count:
         raise InvariantViolation(
-            f"entry {name!r}: {len(system.roots)} roots, type {family}{rank} needs {expected_count}"
+            f"{len(system.roots)} roots, type {family}{rank} needs {expected_count}"
         )
-    if system.dim_lambda() != raw["dim_lambda"]:
+    if system.dim_lambda() != dim_lambda:
         raise InvariantViolation(
-            f"entry {name!r}: total multiplicity {system.dim_lambda()} "
-            f"differs from declared dimension {raw['dim_lambda']}"
+            f"total multiplicity {system.dim_lambda()} differs from declared dimension {dim_lambda}"
         )
-    dim_space = raw.get("dim_space")
     if dim_space is not None and dim_space != rank + system.dim_lambda():
-        raise InvariantViolation(
-            f"entry {name!r}: dim_space {dim_space} != rank + total multiplicity"
-        )
-    weyl_order = raw.get("weyl_order")
+        raise InvariantViolation(f"dim_space {dim_space} != rank + total multiplicity")
     if weyl_order is not None and system.weyl_group().order != weyl_order:
         raise InvariantViolation(
-            f"entry {name!r}: Weyl group order {system.weyl_group().order} "
-            f"differs from declared {weyl_order}"
+            f"Weyl group order {system.weyl_group().order} differs from declared {weyl_order}"
         )
     rho = weighted_root_sum(system)
-    for beta in system.simple_roots:
-        if system.pairing(beta, rho) <= 0:
-            raise InvariantViolation(
-                f"entry {name!r}: weighted root sum is not strictly dominant"
-            )
-    try:
-        lattice = Lattice(system, basis)
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"entry {name!r}: {exc}") from None
+    if any(system.pairing(beta, rho) <= 0 for beta in system.simple_roots):
+        raise InvariantViolation("weighted root sum is not strictly dominant")
+    lattice = Lattice(system, basis)
     lattice.check_weyl_stable()
     return CatalogEntry(
         name=name,
@@ -296,7 +295,7 @@ def _entry_from_raw(raw: dict) -> CatalogEntry:
         rank=rank,
         system=system,
         lattice=lattice,
-        dim_lambda=raw["dim_lambda"],
+        dim_lambda=dim_lambda,
         dim_space=dim_space,
         weyl_order=weyl_order,
         provenance=raw.get("provenance", ""),

@@ -147,7 +147,7 @@ def _write(report: Report, fmt: str) -> None:
 def _rational(option: str, text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise RootQuiltError(f"invalid {option} {text!r}; use a rational such as 1/8") from None
 
 

@@ -56,10 +56,6 @@ class ModeMismatch(RootQuiltError):
     """An operation required a small-in-chamber shift."""
 
 
-class NotInImplementedSector(RootQuiltError):
-    """Requested a product whose left factor is outside the unit sector."""
-
-
 class WindowTooSmall(RootQuiltError):
     """No witness lattice point exists inside the window."""
 

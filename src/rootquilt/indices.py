@@ -31,8 +31,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvariantViolation, ModeMismatch, NotDominant, NotUgly
-from .lattice import GenericShift, Mode, _vec_text, reject_floor_boundaries, weighted_root_sum
-from .linalg import Scalar, Vec, add, div, dot, exact, gram_pair, mat_vec, scale, vec
+from .lattice import GenericShift, Mode, reject_floor_boundaries, weighted_root_sum
+from .linalg import Scalar, Vec, _vec_text, add, div, dot, exact, gram_pair, mat_vec, scale, vec
 from .roots import RestrictedRootSystem, WeylElement
 
 

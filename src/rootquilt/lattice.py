@@ -28,18 +28,13 @@ from .errors import (
     NotSmall,
 )
 from .linalg import (
-    Mat, Scalar, Vec, add, div, exact, format_vec, inverse, is_integral, mat_mul, mat_vec, scale,
-    transpose, vec, zero_vec,
+    Mat, Scalar, Vec, _vec_text, add, div, exact, format_vec, inverse, is_integral, mat_mul,
+    mat_vec, scale, transpose, vec, zero_vec,
 )
 from .roots import RestrictedRootSystem, WeylElement
 
 DEFAULT_POINT_CAP = 500_000
 MAX_DENOMINATOR_INDEX = 10_000
-
-
-def _vec_text(v: Vec) -> str:
-    """A vector as its exact entries, e.g. (-1, 1/2), for error messages."""
-    return f"({', '.join(map(str, v))})"
 
 
 class Lattice:

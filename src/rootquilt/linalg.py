@@ -8,8 +8,8 @@ here returns it, and ``div`` is the one true division of the exact layer, so
 
 Vectors are tuples of scalars, matrices tuples of row tuples.  All
 dimensions here are tiny (the rank of a root system, at most a handful), so
-one dense Gauss-Jordan elimination, ``rref``, serves rank, inverse and unique
-solves; the Sylvester test eliminates without row swaps.  Reflections take
+one dense Gauss-Jordan elimination, ``rref``, serves rank and inverse; the
+Sylvester test eliminates without row swaps.  Reflections take
 the covector gram * alpha from the caller, which computes it once per root.
 No floating point enters this module.
 """
@@ -156,21 +156,6 @@ def inverse(m: Mat) -> Mat:
     return tuple(row[n:] for row in reduced)
 
 
-def solve_unique(rows: Sequence[Vec], rhs: Vec) -> Vec | None:
-    """Solve a (possibly rectangular) linear system.
-
-    Returns the solution when it exists and is unique, otherwise None
-    (inconsistent or underdetermined).  That is when rref of the augmented
-    matrix has one row per unknown, the last with its pivot on the last
-    unknown.
-    """
-    n = len(rows[0]) if rows else 0
-    reduced = rref([list(row) + [b] for row, b in zip(rows, rhs, strict=True)])
-    if len(reduced) != n or (n and reduced[-1][n - 1] == 0):
-        return None
-    return tuple(row[n] for row in reduced)
-
-
 def rref(rows: Sequence[Sequence[Scalar]]) -> Mat:
     """Reduced row echelon form with zero rows dropped."""
     if not rows:
@@ -204,9 +189,15 @@ def is_integral(v: Vec) -> bool:
 
 
 def parse_rational(value) -> Scalar:
-    """Accept ints, Fractions and 'p/q' strings; reject floats to keep exactness."""
+    """Accept ints, Fractions and 'p/q' strings; reject floats to keep exactness.
+
+    Every rejection, a zero denominator included, is a ``ValueError``.
+    """
     if type(value) in (int, Fraction, str):  # Fraction("p/q") allows surrounding space
-        return exact(value)
+        try:
+            return exact(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, (bool, float)):
         raise ValueError(f"refusing inexact value {value!r}")
     raise ValueError(f"cannot parse rational from {value!r}")
@@ -219,3 +210,8 @@ def format_rational(x: Scalar) -> str:
 def format_vec(v: Vec) -> str:
     """An exact vector as comma-separated entries, e.g. 1,-1/2."""
     return ",".join(map(str, v))
+
+
+def _vec_text(v: Vec) -> str:
+    """A vector as its exact entries, e.g. (-1, 1/2), for error messages."""
+    return f"({', '.join(map(str, v))})"

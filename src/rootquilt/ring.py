@@ -3,20 +3,16 @@
 Only products with a left factor in the identity sector are defined: the
 product rule y[e;q1] * y[w;q2] = y[w; w(q1)+q2] makes the identity sector a
 copy of the lattice monoid algebra and every other sector a free rank-one
-module over it.  Products with both factors outside the identity sector are
-a hard error, never an approximation.  The window certificates read the
-permutations and filtration weights of the shift's index table.
-
-Coefficients default to the two-element field, where all signs are trivial.
-An integer mode exists, but every product result is flagged as carrying an
-unverified sign.
+module over it, so ``star_unit_sector`` takes the left factor as its
+exponent q1 alone.  The window certificates read the permutations and
+filtration weights of the shift's index table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInImplementedSector, WindowTooSmall
+from .errors import WindowTooSmall
 from .indices import index_table
 from .lattice import GenericShift, Generator
 from .linalg import Scalar, Vec, add, sub
@@ -26,82 +22,6 @@ from .roots import WeylElement
 def star_unit_sector(q1: Vec, g: Generator) -> Generator:
     """Product of the identity-sector element of exponent q1 with g."""
     return Generator(g.w, add(g.w(q1), g.q))
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    value: int
-    sign_trusted: bool = True
-
-
-class RingElement:
-    """Finitely supported combination of generators.
-
-    ``ring`` is "Z2" (default) or "Z".  Over Z every coefficient produced by
-    a product carries sign_trusted = False.
-    """
-
-    def __init__(self, terms: dict[Generator, Coefficient] | None = None, ring: str = "Z2"):
-        ring = ring.upper()
-        if ring not in ("Z2", "Z"):
-            raise ValueError(f"unsupported coefficient ring {ring!r}")
-        self.ring = ring
-        self.terms: dict[Generator, Coefficient] = {}
-        for g, c in (terms or {}).items():
-            self._accumulate(g, c)
-
-    @classmethod
-    def basis(cls, g: Generator, ring: str = "Z2") -> "RingElement":
-        return cls({g: Coefficient(1)}, ring=ring)
-
-    def _accumulate(self, g: Generator, c: Coefficient) -> None:
-        old = self.terms.get(g)
-        value = (old.value if old else 0) + c.value
-        trusted = c.sign_trusted and (old.sign_trusted if old else True)
-        if self.ring == "Z2":
-            value %= 2
-            trusted = True
-        if value == 0:
-            self.terms.pop(g, None)
-        else:
-            self.terms[g] = Coefficient(value, trusted)
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if self.ring != other.ring:
-            raise ValueError("mixed coefficient rings")
-        out = RingElement(dict(self.terms), ring=self.ring)
-        for g, c in other.terms.items():
-            out._accumulate(g, c)
-        return out
-
-    def star(self, other: "RingElement") -> "RingElement":
-        """Unit-sector product: every generator on the left must have w = e."""
-        if self.ring != other.ring:
-            raise ValueError("mixed coefficient rings")
-        out = RingElement(ring=self.ring)
-        for g1, c1 in self.terms.items():
-            if g1.w.word:
-                raise NotInImplementedSector(
-                    f"left factor {g1.label()} is outside the identity sector"
-                )
-            for g2, c2 in other.terms.items():
-                target = star_unit_sector(g1.q, g2)
-                trusted = self.ring == "Z2"
-                out._accumulate(target, Coefficient(c1.value * c2.value, trusted))
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "RingElement(0)"
-        parts = [f"{c.value}*{g.label()}" for g, c in sorted(self.terms.items(), key=lambda t: t[0].label())]
-        return "RingElement(" + " + ".join(parts) + f"; {self.ring})"
 
 
 @dataclass(frozen=True)

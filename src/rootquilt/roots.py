@@ -25,6 +25,7 @@ from .linalg import (
     Mat,
     Scalar,
     Vec,
+    _vec_text,
     add,
     div,
     dot,
@@ -86,7 +87,7 @@ class WeylElement:
 class WeylGroup:
     """The full finite reflection group, enumerated with reduced words.
 
-    Products, inverses and words compose root permutations.  ``positive[k]``
+    Inverses and words compose root permutations.  ``positive[k]``
     holds the sorted root indices of w_k(R+), the positive system of the
     k-th chamber; it determines w_k, and ``by_mask`` maps its bit mask back
     to k.
@@ -110,9 +111,6 @@ class WeylGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._by_perm[tuple(a.perm[j] for j in b.perm)]
 
     def inverse(self, a: WeylElement) -> WeylElement:
         # the inverse permutation sorts the indices by their images
@@ -185,7 +183,7 @@ class RestrictedRootSystem:
         """Reflection of v across the wall of alpha, computed exactly."""
         covector = self._covector.get(alpha)
         if covector is None:
-            raise UnknownRoot(f"{alpha} is not a root")
+            raise UnknownRoot(f"{_vec_text(alpha)} is not a root")
         return reflect(covector, alpha, v)
 
     # -- positive systems and chambers ---------------------------------
@@ -257,7 +255,6 @@ class RestrictedRootSystem:
             return self._weyl
         index = {a: i for i, a in enumerate(self.roots)}
         self._positive_index = tuple(index[a] for a in self.positive_roots)
-        self._indivisible_index = tuple(index[a] for a in self.indivisible_positive_roots)
         self._simple_index = tuple(index[b] for b in self.simple_roots)
         self._simple_inverse = inverse(transpose(self.simple_roots))
         gens = [tuple(index[self.reflect(b, a)] for a in self.roots) for b in self.simple_roots]
@@ -292,11 +289,6 @@ class RestrictedRootSystem:
         """
         group = self.weyl_group()
         return group.elements[group.by_mask[self._sign_mask(v)]]
-
-    def length(self, w: WeylElement) -> int:
-        """Number of indivisible positive roots sent to negative ones."""
-        positive = set(self._positive_index)
-        return sum(1 for i in self._indivisible_index if w.perm[i] not in positive)
 
     # -- validation ------------------------------------------------------
 
@@ -336,7 +328,7 @@ class RestrictedRootSystem:
                     img = self.reflect(a, b)
                     if img not in self.mult or self.mult[img] != self.mult[b]:
                         raise InvariantViolation(
-                            f"reflection of {b} across {a} leaves the system"
+                            f"reflection of {_vec_text(b)} across {_vec_text(a)} leaves the system"
                         )
         if any(self.pairing(a, self.base_point) == 0 for a in self.roots):
             raise InvariantViolation("base point is not regular")
@@ -348,7 +340,8 @@ class RestrictedRootSystem:
                 ratio = _proportionality(a, b)
                 if ratio is not None and ratio not in allowed:
                     raise InvariantViolation(
-                        f"roots {a} and {b} are proportional with ratio {ratio}"
+                        f"roots {_vec_text(a)} and {_vec_text(b)} are proportional"
+                        f" with ratio {ratio}"
                     )
 
     def __repr__(self):

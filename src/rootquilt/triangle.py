@@ -58,7 +58,7 @@ finally:
 from .errors import Degenerate, InvariantViolation, QuadratureNotConverged
 from .indices import MonotoneData
 from .lattice import GenericShift
-from .linalg import Mat, Vec, add, gram_pair, matrix_rank, solve_unique, sub, vec, zero_vec
+from .linalg import Mat, Vec, add, gram_pair, matrix_rank, sub, zero_vec
 from .roots import RestrictedRootSystem, WeylElement
 
 # -- exact affine geometry -------------------------------------------------
@@ -183,13 +183,6 @@ class PlaneModel:
     base: Vec
     u_dir: Vec
     v_dir: Vec
-
-    def coordinates(self, p: Vec) -> tuple[Fraction, Fraction]:
-        rows = [vec([u, v]) for u, v in zip(self.u_dir, self.v_dir)]
-        sol = solve_unique(rows, sub(p, self.base))
-        if sol is None:
-            raise Degenerate("point is not on the model plane")
-        return sol[0], sol[1]
 
 
 _LINE_TARGETS = ((1, 0, 0), (1, 1, 1), (0, 1, 0))  # x = 0, x + y = 1, y = 0
@@ -360,12 +353,7 @@ class TriangleMapSolution:
     def __init__(self, nodes: int, tol: float = 1e-8):
         if nodes < 16:
             raise ValueError("at least 16 quadrature nodes are required")
-        if abs(sum(EXPONENTS) - 2.0) > 1e-15:
-            raise InvariantViolation("exponent sum must be 2 for a closed triangle")
         self.nodes = nodes
-        self.tolerance = tol
-        self.prevertices = PREVERTICES
-        self.exponents = EXPONENTS
         self._corner_integrals = tuple(_corner_integral(k, nodes) for k in range(3))
         i1, i2, i3 = self._corner_integrals
         t1, t2, t3 = _INT_TARGETS

@@ -29,9 +29,12 @@ with all of them.
 ``dot``, ``reflect`` and ``close_orbits`` are the exact kernel as it was
 before it kept integral values as ``int``: every scalar a ``Fraction``.
 ``weyl_action``, ``reflection_matrix``, ``segment_in_closed_chamber``,
-``embed`` (once ``PlaneModel.embed``) and ``map_point`` (once
-``TriangleMapSolution.map_point``) were public helpers that no command
-reached; the tests that used them keep them here.
+``embed`` (once ``PlaneModel.embed``), ``coordinates`` (once
+``PlaneModel.coordinates``), ``map_point`` (once
+``TriangleMapSolution.map_point``), ``multiply`` (once
+``WeylGroup.multiply``), ``length`` (once ``RestrictedRootSystem.length``)
+and ``solve_unique`` (once ``linalg.solve_unique``) were public helpers that
+no command reached; the tests that used them keep them here.
 """
 
 import math
@@ -55,13 +58,13 @@ from rootquilt.lattice import (
     GenericShift,
     Lattice,
     Mode,
-    _vec_text,
     validate_generic,
     weighted_root_sum,
 )
 from rootquilt.linalg import (
     Mat,
     Vec,
+    _vec_text,
     add,
     format_vec,
     gram_pair,
@@ -71,14 +74,12 @@ from rootquilt.linalg import (
     matrix_rank,
     rref,
     scale,
-    solve_unique,
     sub,
     vec,
     zero_vec,
 )
 from rootquilt.ring import LeadingTerm
-from rootquilt.roots import RestrictedRootSystem
-from rootquilt.roots import WeylElement
+from rootquilt.roots import RestrictedRootSystem, WeylElement, WeylGroup
 from rootquilt.suite import Report
 from rootquilt.triangle import (
     _NEWTON_STEPS,
@@ -182,7 +183,7 @@ def plane_model(triple: AffineLagrangianTriple) -> PlaneModel:
     )
     expected = {(0, 1): triple.p12, (1, 0): triple.p23, (0, 0): triple.p13}
     for (x, y), p in expected.items():
-        if model.coordinates(p) != (Fraction(x), Fraction(y)):
+        if coordinates(model, p) != (Fraction(x), Fraction(y)):
             raise InvariantViolation("intersection point has wrong plane coordinates")
     for sub_, target in zip((triple.l1, triple.l2, triple.l3), _LINE_TARGETS):
         pulled = []
@@ -194,6 +195,14 @@ def plane_model(triple: AffineLagrangianTriple) -> PlaneModel:
         if rref(pulled) != rref(target):
             raise InvariantViolation("pulled-back boundary line is wrong")
     return model
+
+
+def coordinates(model: PlaneModel, p: Vec) -> tuple[Fraction, Fraction]:
+    rows = [vec([u, v]) for u, v in zip(model.u_dir, model.v_dir)]
+    sol = solve_unique(rows, sub(p, model.base))
+    if sol is None:
+        raise Degenerate("point is not on the model plane")
+    return sol[0], sol[1]
 
 
 def embed(model: PlaneModel, x: Fraction, y: Fraction) -> Vec:
@@ -679,3 +688,29 @@ def weyl_action(lattice: Lattice, w: WeylElement, q: Vec) -> Vec:
 def reflection_matrix(system: RestrictedRootSystem, alpha: Vec) -> Mat:
     cols = [system.reflect(alpha, e) for e in (identity(system.rank))]
     return tuple(zip(*cols, strict=True))
+
+
+def multiply(group: WeylGroup, a: WeylElement, b: WeylElement) -> WeylElement:
+    return group._by_perm[tuple(a.perm[j] for j in b.perm)]
+
+
+def length(system: RestrictedRootSystem, w: WeylElement) -> int:
+    """Number of indivisible positive roots sent to negative ones."""
+    index = {a: i for i, a in enumerate(system.roots)}
+    positive = {index[a] for a in system.positive_roots}
+    return sum(1 for a in system.indivisible_positive_roots if w.perm[index[a]] not in positive)
+
+
+def solve_unique(rows: Sequence[Vec], rhs: Vec) -> Vec | None:
+    """Solve a (possibly rectangular) linear system.
+
+    Returns the solution when it exists and is unique, otherwise None
+    (inconsistent or underdetermined).  That is when rref of the augmented
+    matrix has one row per unknown, the last with its pivot on the last
+    unknown.
+    """
+    n = len(rows[0]) if rows else 0
+    reduced = rref([list(row) + [b] for row, b in zip(rows, rhs, strict=True)])
+    if len(reduced) != n or (n and reduced[-1][n - 1] == 0):
+        return None
+    return tuple(row[n] for row in reduced)

