@@ -175,7 +175,7 @@ class CatalogEntry:
     provenance: str
 
 
-def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
+def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]], root_count: int) -> dict[Vec, int]:
     """Close seed roots under all reflections and assign orbit multiplicities.
 
     One worklist pass reflects every ordered pair of roots once, through the
@@ -185,6 +185,9 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
     declared orbits meet, and raises ``InvariantViolation``.  So does a Gram
     matrix that is not positive definite, checked after the seeds: under an
     indefinite form the reflected roots grow without bound and never close.
+    Mistyped seeds may never close either, so the closure stops at the
+    first root past ``root_count`` (the declared type's), or past the seed
+    roots if more: those then fail later, with a more precise message.
     """
     for s, _ in seeds:
         if all(x == 0 for x in s):
@@ -200,12 +203,15 @@ def close_orbits(gram: Mat, seeds: list[tuple[Vec, int]]) -> dict[Vec, int]:
     covectors: list[Vec] = []
     mults: list[int] = []
     seed_of: list[Vec] = []
+    cap = max(root_count, 2 * len(seeds))
 
     def found(root: Vec, m: int, seed: Vec) -> None:
         k = index.setdefault(root, len(roots))
         if k == len(roots):
-            if k == 10_000:
-                raise InvariantViolation("orbit closure did not stabilize")
+            if k == cap:
+                raise InvariantViolation(
+                    f"the seeds reflect to more than {root_count} roots, the count of the declared type"
+                )
             roots.append(root)
             covectors.append(mat_vec(gram, root))
             mults.append(m)
@@ -259,7 +265,8 @@ def _build_entry(raw: dict) -> CatalogEntry:
         raise SchemaError(f"every orbit seed needs {rank} coordinates")
     if len(base_point) != rank:
         raise SchemaError(f"the base point needs {rank} coordinates")
-    mult = close_orbits(gram, seeds)
+    expected_count = _ROOT_COUNT[family](rank)
+    mult = close_orbits(gram, seeds, expected_count)
     spanned = matrix_rank(list(mult))
     if spanned != rank:
         raise InvariantViolation(
@@ -268,7 +275,6 @@ def _build_entry(raw: dict) -> CatalogEntry:
             "in roots already found"
         )
     system = RestrictedRootSystem(gram, mult.keys(), mult, base_point, name=name, _closed=True)
-    expected_count = _ROOT_COUNT[family](rank)
     if len(system.roots) != expected_count:
         raise InvariantViolation(
             f"{len(system.roots)} roots, type {family}{rank} needs {expected_count}"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .catalog import get_entry, load_catalog
 from .errors import RootQuiltError
-from .indices import QuiltDatum, classify, index_table, monotone_data, quilt_index
+from .indices import QuiltDatum, classify, monotone_data, quilt_index
 from .lattice import Mode
 from .linalg import format_rational, format_vec, parse_rational
 from .ring import Generator, star_unit_sector, triangularity_certificate
@@ -234,11 +234,10 @@ def cmd_index(args) -> int:
 def cmd_filtration(args) -> int:
     entry, params, shift = _entry_and_shift(args)
     group = entry.system.weyl_group()
-    table = index_table(shift)
     report = Report(entry.name, "filtration", _report_params(params, shift))
-    for w, fil in zip(group, table.filtration):
+    for w, fil in zip(group, shift.filtration):
         report.add_row("filtration", w.name, fil)
-    for q, iw in zip(table.points, table.chambers):
+    for q, iw in zip(shift.points, shift.chambers):
         report.add_row("leading", format_vec(q), group.elements[iw].name)
     report.add_check("filtration", True, f"{group.order} weights")
     _write(report, args.format)

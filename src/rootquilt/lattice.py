@@ -7,7 +7,7 @@ coordinates in integers, against the norm matrix scaled once to integers.
 A generic shift is a rational vector certified to avoid every wall and
 every floor boundary inside a stated window.  Because 2*alpha(q) is an
 integer at every lattice point q, the certificate reads the roots alone,
-and the shift's index table enumerates its window lazily, on first use.
+and the shift builds the exact integer tables of its window on first read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -23,13 +25,14 @@ from .errors import (
     FloorBoundary,
     InvariantViolation,
     LatticeNotStable,
+    ModeMismatch,
     NotInChamber,
     NotRegular,
     NotSmall,
 )
 from .linalg import (
-    Mat, Scalar, Vec, _vec_text, add, div, exact, format_vec, inverse, is_integral, mat_mul,
-    mat_vec, scale, transpose, vec, zero_vec,
+    Mat, Scalar, Vec, _vec_text, add, div, dot, exact, format_vec, inverse, is_integral,
+    mat_mul, mat_vec, scale, transpose, vec, zero_vec,
 )
 from .roots import RestrictedRootSystem, WeylElement
 
@@ -138,28 +141,215 @@ class Mode(enum.Enum):
 
 @dataclass
 class GenericShift:
-    """A certified shift vector: regular, boundary-free in its window."""
+    """A certified shift vector: regular, boundary-free in its window, with
+    the exact tables read off it, per root and over the window.
+
+    Since 2*alpha(q) is an integer at every lattice point q, the floor terms
+    f[q][alpha] = floor(2*alpha(q + a)) = 2*alpha(q) + floor(2*alpha(a)) are
+    integers read off two tables, and every per-datum quantity is an integer
+    sum over root indices:
+
+    - deg(w, q) = sum over R+(w) of m_alpha f[q][alpha];
+    - q + a lies in the chamber of the w whose positive system is the set of
+      roots with f[q][alpha] >= 0, found by its sign mask;
+    - the ugly index of (q, w) is deg(w_in, q) - deg(w, q), where w_in is
+      the chamber element of q + a and w != w_in.
+
+    The ugly index is strictly positive.  A positive system holds one of
+    alpha and -alpha for every root, and the loader checks R = -R and
+    m(-alpha) = m(alpha).  So R+(w) is R+(w_in) with each flipped root alpha
+    (in R+(w_in) but not in R+(w)) replaced by -alpha, of the same
+    multiplicity.  Off the floor boundaries floor(-x) = -floor(x) - 1, so
+    the difference is the sum over the flipped alpha of
+    m_alpha (2 f[q][alpha] + 1).  Since q + a lies in the chamber of w_in,
+    every flipped f[q][alpha] is >= 0, and w != w_in flips at least one
+    root, so the sum is at least 1.
+
+    The filtration weight fil(w), the sum over R+(w) of m_alpha
+    frac(2*alpha(a)), is kept as one rational per chamber element.
+
+    The action of a generator is linear too.  Pairing with w x0 is tau times
+    the sum over R+(w) of m_alpha 2*alpha(-), by the W-invariance of the Gram
+    form and of the multiplicities, so the action <q + a, w x0> equals
+    tau * (deg(w, q) + fil(w)).  ``certify_implication`` and ``certify_area``
+    check this identity on the lattice basis and at a, with rank + 1
+    pairings per chamber element, and ``maslov`` holds the capping Maslov
+    index of every window point as an integer.
+
+    The window is a Gram ball in a W-stable lattice, so each w permutes it.
+    Since 2 alpha(w q) = 2 (w^-1 alpha)(q), the row of w(q) is the row of q
+    read through the root permutation of w^-1, and the rows determine the
+    points; ``perms[k][iq]`` is the index of w_k(q) found that way.
+
+    The constructor builds the per-root data and rejects a floor boundary;
+    ``floors_at``, ``chamber_index`` and ``degree`` answer from them for one
+    lattice point.  ``points``, the one enumeration of the window, and each
+    window table are built on first read.  Window points are indexed in
+    ``points`` order, chamber elements in Weyl group order and roots in
+    ``system.roots`` order.
+    """
 
     system: RestrictedRootSystem
     lattice: Lattice
     a: Vec
     mode: Mode
     window_radius: Scalar
-    _table: object = field(default=None, repr=False, compare=False)  # see indices.index_table
+
+    def __post_init__(self):
+        system, roots = self.system, self.system.roots
+        group = self._group = system.weyl_group()
+        self.two_alpha_a: tuple[Scalar, ...] = tuple(2 * system.pairing(al, self.a) for al in roots)
+        # 2*alpha(q + a) is an integer exactly when 2*alpha(a) is, so a floor
+        # boundary is named at the first window point, the origin
+        for al, val in zip(roots, self.two_alpha_a):
+            if val.denominator == 1:
+                origin = zero_vec(len(al))
+                raise FloorBoundary(
+                    al, origin, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(origin)}"
+                )
+        self.mult: tuple[int, ...] = tuple(system.mult[al] for al in roots)
+        self.floor_a: tuple[int, ...] = tuple(math.floor(t) for t in self.two_alpha_a)
+        self.positive = group.positive
+        self.position: dict[WeylElement, int] = {w: k for k, w in enumerate(group)}
+        den = math.lcm(*(t.denominator for t in self.two_alpha_a))
+        frac_num = [int((t - f) * den) for t, f in zip(self.two_alpha_a, self.floor_a)]
+        self.filtration: list[Scalar] = [
+            div(sum(self.mult[i] * frac_num[i] for i in pos), den) for pos in self.positive
+        ]
 
     def window_points(self) -> list[Vec]:
-        from .indices import index_table  # imported here: indices imports lattice
-        return index_table(self).points
+        return self.points
 
+    def floors_at(self, q: Vec) -> tuple[int, ...]:
+        """floor(2*alpha(q + a)) for every root, at a lattice point q."""
+        return tuple(p + f for p, f in zip(self.lattice.two_alpha(q), self.floor_a))
 
-def reject_floor_boundaries(roots: Sequence[Vec], two_alpha_a: Sequence[Scalar]) -> None:
-    """Raise FloorBoundary, named at the origin, at the first integer 2*alpha(a)."""
-    for al, val in zip(roots, two_alpha_a):
-        if val.denominator == 1:
-            origin = zero_vec(len(al))
-            raise FloorBoundary(
-                al, origin, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(origin)}"
-            )
+    def chamber_index(self, floors: Sequence[int]) -> int:
+        """The k with q + a in the chamber of w_k, from the floors of q."""
+        return self._group.by_mask[sum(1 << i for i, f in enumerate(floors) if f >= 0)]
+
+    def degree(self, k: int, floors: Sequence[int]) -> int:
+        """deg(w_k, q) from the floors of q."""
+        return sum(self.mult[i] * floors[i] for i in self.positive[k])
+
+    @cached_property
+    def points(self) -> list[Vec]:
+        """The window: the lattice points of Gram norm at most ``window_radius``."""
+        return self.lattice.points(self.window_radius)
+
+    @cached_property
+    def two_alpha_q(self) -> list[tuple[int, ...]]:
+        """two_alpha_q[iq][alpha] = 2*alpha(q), one row per window point."""
+        return [self.lattice.two_alpha(q) for q in self.points]
+
+    @cached_property
+    def floors(self) -> list[tuple[int, ...]]:
+        return [tuple(p + f for p, f in zip(row, self.floor_a)) for row in self.two_alpha_q]
+
+    @cached_property
+    def chambers(self) -> list[int]:
+        return [self.chamber_index(row) for row in self.floors]
+
+    @cached_property
+    def degrees(self) -> list[list[int]]:
+        return [
+            [sum(self.mult[i] * row[i] for i in pos) for pos in self.positive]
+            for row in self.floors
+        ]
+
+    @cached_property
+    def inverses(self) -> list[int]:
+        """inverses[k] is the index of w_k^-1."""
+        return [self.position[self._group.inverse(w)] for w in self._group]
+
+    @cached_property
+    def perms(self) -> list[tuple[int, ...]]:
+        """perms[k][iq] is the index of w_k(q) among the window points."""
+        index = {row: iq for iq, row in enumerate(self.two_alpha_q)}
+        elements = self._group.elements
+        out = []
+        for w, k in zip(elements, self.inverses):
+            read = itemgetter(*elements[k].perm)
+            try:
+                out.append(tuple(index[read(row)] for row in self.two_alpha_q))
+            except KeyError:
+                raise InvariantViolation(f"{w.name} moves a window point off the window") from None
+        return out
+
+    @cached_property
+    def maslov(self) -> list[int]:
+        """``capping_maslov`` of every window point: minus the sum over R+ of
+        m_alpha 2*alpha(q).  The identity comes first in group order, so R+ is
+        ``positive[0]``."""
+        base = self.positive[0]
+        return [-sum(self.mult[i] * row[i] for i in base) for row in self.two_alpha_q]
+
+    # The Gram matrix G is symmetric, so <v, x> = (G v) . x: each comparison
+    # of the certificates is one dot product against a covector built once.
+
+    @cached_property
+    def _basis_covectors(self) -> tuple[Vec, ...]:
+        """G b for every lattice basis vector b."""
+        return tuple(mat_vec(self.system.gram, b) for b in self.lattice.basis)
+
+    @cached_property
+    def _a_covector(self) -> Vec:
+        """G a for the shift a."""
+        return mat_vec(self.system.gram, self.a)
+
+    def _pairs_on_basis(self, x: Vec, pos: Sequence[int], tau: Scalar) -> bool:
+        """Whether <b, x> = tau * sum over pos of m_alpha 2*alpha(b) at every
+        lattice basis vector b; both sides are linear in b, so then at every
+        lattice point."""
+        two_alpha_b = self.lattice.two_alpha_basis
+        return all(
+            dot(gb, x) == tau * sum(self.mult[i] * two_alpha_b[i][j] for i in pos)
+            for j, gb in enumerate(self._basis_covectors)
+        )
+
+    def certify_implication(self, x0_images: Sequence[Vec], tau: Scalar) -> bool:
+        """Whether no pair of generators can violate ``zero_index_implication``.
+
+        ``x0_images[k]`` is w_k(x0).  Checks, for every chamber element, the
+        action identity <q + a, w_k x0> = tau * (deg(w_k, q) + fil(w_k)) on
+        the lattice basis and at a: both sides are affine in the integer
+        basis coordinates of q, since deg(w_k, q) is the sum over R+(w_k) of
+        m_alpha (2*alpha(q) + floor(2*alpha(a))), so these |W| * (rank + 1)
+        pairings prove it at every generator.  With tau > 0, equal degrees
+        and a strict action drop then force a strict filtration drop, so
+        no pair of generators violates the implication.
+        False means only that the certificate failed, not that some pair
+        violates the implication.
+        """
+        if tau <= 0:
+            return False
+        for pos, x, fil in zip(self.positive, x0_images, self.filtration, strict=True):
+            if not self._pairs_on_basis(x, pos, tau):
+                return False
+            floor_sum = sum(self.mult[i] * self.floor_a[i] for i in pos)
+            if dot(self._a_covector, x) != tau * (floor_sum + fil):
+                return False
+        return True
+
+    def certify_area(self, x0: Vec, tau: Scalar) -> bool:
+        """Whether ``capping_area`` equals tau * ``maslov`` at every window point.
+
+        Checks -<b, x0> = tau * mu(b) on the lattice basis, which proves it
+        everywhere by linearity.  mu(-q) = -mu(q) needs no check: ``maslov``
+        is linear in the integers 2*alpha(q).
+        """
+        return self._pairs_on_basis(x0, self.positive[0], tau)
+
+    def morse_index(self, iw: int) -> int:
+        """``morse_index`` of chamber element iw."""
+        if self.mode is not Mode.SMALL_IN_CHAMBER:
+            raise ModeMismatch("morse_index requires a small-in-chamber shift")
+        pos = self.positive[iw]
+        by_count = sum(self.mult[i] for i in pos if self.floor_a[i] < 0)
+        by_floor = -sum(self.mult[i] * self.floor_a[i] for i in pos)
+        if by_count != by_floor:
+            raise InvariantViolation("the two Morse index formulas disagree")
+        return by_count
 
 
 def validate_generic(
@@ -177,10 +367,10 @@ def validate_generic(
     |2*alpha(a)| < 1/2.
 
     Since 2*alpha(q) is an integer at every lattice point, 2*alpha(q + a) is
-    an integer exactly when 2*alpha(a) is, so the floor boundaries are found
-    over the roots alone and reported at the first window point (the origin),
-    as a scan of the whole window would report them.  The window itself is
-    enumerated on the first read of the index table's ``points``.
+    an integer exactly when 2*alpha(a) is, so the ``GenericShift``
+    constructor finds the floor boundaries over the roots alone and reports
+    them at the first window point (the origin), as a window scan would.
+    The window is enumerated on the first read of the shift's ``points``.
 
     The strict 1/2 matters: the filtration difference between a chamber
     element and the identity is a sum of terms m_alpha (1 - 4 alpha(a)) over
@@ -194,16 +384,15 @@ def validate_generic(
         raise NotRegular(walls)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    two_alpha_a = [2 * system.pairing(al, a) for al in system.roots]
-    reject_floor_boundaries(system.roots, two_alpha_a)
+    shift = GenericShift(system, lattice, a, mode, radius)
     if mode is Mode.SMALL_IN_CHAMBER:
         for beta in system.simple_roots:
             if system.pairing(beta, a) <= 0:
                 raise NotInChamber(f"shift fails beta={_vec_text(beta)}")
-        for al, val in zip(system.roots, two_alpha_a):
+        for al, val in zip(system.roots, shift.two_alpha_a):
             if 2 * abs(val) >= 1:
                 raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec_text(al)}")
-    return GenericShift(system, lattice, a, mode, radius)
+    return shift
 
 
 def weighted_root_sum(system: RestrictedRootSystem) -> Vec:

@@ -4,8 +4,8 @@ Only products with a left factor in the identity sector are defined: the
 product rule y[e;q1] * y[w;q2] = y[w; w(q1)+q2] makes the identity sector a
 copy of the lattice monoid algebra and every other sector a free rank-one
 module over it, so ``star_unit_sector`` takes the left factor as its
-exponent q1 alone.  The window certificates read the permutations and
-filtration weights of the shift's index table.
+exponent q1 alone.  The window certificates read the shift's window
+permutations and filtration weights.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WindowTooSmall
-from .indices import index_table
 from .lattice import GenericShift, Generator
 from .linalg import Scalar, Vec, add, sub
 from .roots import WeylElement
@@ -40,9 +39,8 @@ def leading_term(q: Vec, shift: GenericShift) -> LeadingTerm:
     strictly smaller filtration which are not computed here.  q must be a
     lattice point: another point raises InvariantViolation.
     """
-    table = index_table(shift)
-    k = table.chamber_index(table.floors_at(q))
-    return LeadingTerm(q, shift.system.weyl_group().elements[k], table.filtration[k])
+    k = shift.chamber_index(shift.floors_at(q))
+    return LeadingTerm(q, shift.system.weyl_group().elements[k], shift.filtration[k])
 
 
 @dataclass(frozen=True)
@@ -80,20 +78,19 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
     the identity w(w^{-1}q) = q is re-checked row by row on the window
     permutations.  Missing witnesses are reported, not fatal.
     """
-    table = index_table(shift)
     elements = shift.system.weyl_group().elements
-    points = table.points
+    points = shift.points
     # chamber element -> its first window point, in window order
-    first = {iw: table.chambers.index(iw) for iw in dict.fromkeys(table.chambers)}
+    first = {iw: shift.chambers.index(iw) for iw in dict.fromkeys(shift.chambers)}
     rows: list[CertificateRow] = []
     uncovered: list[WeylElement] = []
-    for k in sorted(range(len(elements)), key=lambda k: (table.filtration[k], elements[k].word)):
+    for k in sorted(range(len(elements)), key=lambda k: (shift.filtration[k], elements[k].word)):
         w = elements[k]
         if k not in first:
             uncovered.append(w)
             continue
-        to_w, from_w = table.perms[k], table.perms[table.inverses[k]]
-        q_prime, base, fil = points[first[k]], points[from_w[first[k]]], table.filtration[k]
+        to_w, from_w = shift.perms[k], shift.perms[shift.inverses[k]]
+        q_prime, base, fil = points[first[k]], points[from_w[first[k]]], shift.filtration[k]
         for iq, q in enumerate(points):
             if to_w[from_w[iq]] != iq:
                 raise WindowTooSmall((w,), "factorization identity failed")
@@ -104,15 +101,14 @@ def triangularity_certificate(shift: GenericShift) -> TriangularityCertificate:
 
 def r_module_basis_check(shift: GenericShift) -> bool:
     """Whether y[w;q] = star(w^{-1} q, y[w;0]) = y[w; w(w^{-1} q)] at every
-    window generator, on the window permutations of the index table.
+    window generator, on the shift's window permutations.
 
     True exactly when perms[k][perms[inv[k]][iq]] == iq for every chamber
     element k and window point iq, where inv[k] indexes w_k^{-1}.
     """
-    table = index_table(shift)
     return all(
-        all(to_w[i] == iq for iq, i in enumerate(table.perms[inv]))
-        for to_w, inv in zip(table.perms, table.inverses)
+        all(to_w[i] == iq for iq, i in enumerate(shift.perms[inv]))
+        for to_w, inv in zip(shift.perms, shift.inverses)
     )
 
 

@@ -1,13 +1,13 @@
 """Suite runner: executes every check for a catalog entry and serializes
 the outcome as a deterministic report.
 
-The per-datum sweeps read the shift's index table (``indices.index_table``),
-built once per run: the bad/ugly sweep, the filtration table, the parity and
+The per-datum sweeps read the integer tables of the ``GenericShift``, built
+once per run: the bad/ugly sweep, the filtration table, the parity and
 Poincare censuses, and the ring certificates.  The implication and area
-sweeps are certified on the table by linearity, with a few pairings per
+sweeps are certified on the shift by linearity, with a few pairings per
 chamber element, and no action is computed per generator.
 
-The bad/ugly sweep is one serial loop over the table's ``chambers`` and
+The bad/ugly sweep is one serial loop over the shift's ``chambers`` and
 ``degrees``, point by point and in group order within a point, so the report
 bytes depend on the window alone.  No check starts a worker process.
 """
@@ -19,7 +19,7 @@ import json
 
 from .catalog import CatalogEntry
 from .errors import InvariantViolation, RootQuiltError
-from .indices import IndexTable, MonotoneData, index_table, monotone_data, parity_report, poincare_polynomial
+from .indices import MonotoneData, monotone_data, parity_report, poincare_polynomial
 from .lattice import GenericShift, Mode, canonical_shift, validate_generic, weighted_root_sum
 from .linalg import Scalar, Vec, format_rational, format_vec, scale
 from .ring import finitely_generated_witness, r_module_basis_check, triangularity_certificate
@@ -137,17 +137,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _add_bad_ugly_sweep(report: Report, table: IndexTable, points: list[Vec], elements) -> None:
+def _add_bad_ugly_sweep(report: Report, shift: GenericShift, points: list[Vec], elements) -> None:
     """Report the index of every datum (q, w, q), point by point in group order.
 
-    The index is deg(w_in, q) - deg(w, q), read off ``table.degrees``, where
-    w_in is the chamber element of q + a in ``table.chambers``: (q, w_in, q)
+    The index is deg(w_in, q) - deg(w, q), read off ``shift.degrees``, where
+    w_in is the chamber element of q + a in ``shift.chambers``: (q, w_in, q)
     is the one bad datum at q, of index 0, and every other w gives an ugly
     datum, whose index must be at least 1.  A failing check names the first
     ugly datum of index below 1.
     """
     first_failure = None
-    for q, w_in, degrees in zip(points, table.chambers, table.degrees, strict=True):
+    for q, w_in, degrees in zip(points, shift.chambers, shift.degrees, strict=True):
         label = format_vec(q)
         top = degrees[w_in]
         for iw, (w, deg) in enumerate(zip(elements, degrees, strict=True)):
@@ -168,34 +168,34 @@ def _add_bad_ugly_sweep(report: Report, table: IndexTable, points: list[Vec], el
 
 
 def _add_implication_check(
-    report: Report, table: IndexTable, x0_images: list[Vec], tau: Scalar
+    report: Report, shift: GenericShift, x0_images: list[Vec], tau: Scalar
 ) -> None:
     """Report the implication over every ordered pair of generators, read
-    off ``IndexTable.certify_implication``.
+    off ``GenericShift.certify_implication``.
 
     The certificate proves every pair holds, so no action is computed.  It
     cannot fail after ``monotone_data``, which proves <v, x0> = tau * the sum
     over R+ of m_alpha 2*alpha(v), an identity that W carries to every
     image w x0; a failure raises, as ``_add_area_sweep`` does.
     """
-    if not table.certify_implication(x0_images, tau):
+    if not shift.certify_implication(x0_images, tau):
         raise InvariantViolation("action identity failed")
-    checked = (len(table.degrees) * len(table.filtration)) ** 2
+    checked = (len(shift.degrees) * len(shift.filtration)) ** 2
     report.add_row("implication", "checked", checked)
     report.add_row("implication", "holds", checked)
     report.add_check("implication_sweep", True, f"{checked} data pairs")
 
 
-def _add_area_sweep(report: Report, table: IndexTable, points: list[Vec], md: MonotoneData) -> None:
+def _add_area_sweep(report: Report, shift: GenericShift, points: list[Vec], md: MonotoneData) -> None:
     """Report the Maslov index and the area of every capping class q, read
-    off the integer column ``IndexTable.maslov``.
+    off the integer column ``GenericShift.maslov``.
 
-    ``IndexTable.certify_area`` proves area = tau * Maslov at every lattice
+    ``GenericShift.certify_area`` proves area = tau * Maslov at every lattice
     point, so a failure raises as ``capping_area`` would at its first point.
     """
-    if not table.certify_area(md.x0, md.tau):
+    if not shift.certify_area(md.x0, md.tau):
         raise InvariantViolation("area-index proportionality failed")
-    for q, mu in zip(points, table.maslov):
+    for q, mu in zip(points, shift.maslov):
         report.add_row("area_maslov", format_vec(q), f"{mu}:{format_rational(md.tau * mu)}")
     report.add_check("area_maslov_sweep", True, f"{len(points)} capping classes")
 
@@ -249,8 +249,7 @@ def _run_suite(
     md = monotone_data(system, tau)
     stage["check"] = "generic_shift"
     shift = build_shift(entry, epsilon, radius)
-    table = index_table(shift)
-    points = table.points
+    points = shift.points
 
     report = Report(
         entry=entry.name,
@@ -290,11 +289,11 @@ def _run_suite(
 
     # bad/ugly sweep
     stage["check"] = "bad_ugly_sweep"
-    _add_bad_ugly_sweep(report, table, points, group.elements)
+    _add_bad_ugly_sweep(report, shift, points, group.elements)
 
     # filtration table
     stage["check"] = "filtration_minimum"
-    values = table.filtration
+    values = shift.filtration
     for w, fil in zip(group, values):
         report.add_row("filtration", w.name, fil)
     unique_min = all(values[0] < fil for fil in values[1:])  # the identity comes first
@@ -303,9 +302,9 @@ def _run_suite(
     # implication sweep and area = tau * maslov, both certified by linearity
     stage["check"] = "implication_sweep"
     x0_images = [w(md.x0) for w in group]
-    _add_implication_check(report, table, x0_images, md.tau)
+    _add_implication_check(report, shift, x0_images, md.tau)
     stage["check"] = "area_maslov_sweep"
-    _add_area_sweep(report, table, points, md)
+    _add_area_sweep(report, shift, points, md)
 
     # parity
     stage["check"] = "parity"

@@ -479,13 +479,12 @@ def _poincare(top: int, morse: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def parity_report(shift: GenericShift, coefficients: str = "Z") -> ParityReport:
+def parity_report(shift: GenericShift) -> ParityReport:
     """Census of relative degrees deg(w, q) over the validated window.
 
     With every multiplicity even the degrees are all even and the
     differential vanishes for any coefficients.  Otherwise vanishing is
-    undetermined here, unless working over the two-element field, which the
-    ``coefficients`` flag selects.
+    undetermined here.
     """
     system = shift.system
     degrees = [
@@ -493,10 +492,10 @@ def parity_report(shift: GenericShift, coefficients: str = "Z") -> ParityReport:
         for w in system.weyl_group()
         for q in shift.window_points()
     ]
-    return _parity(system.mult.values(), degrees, coefficients)
+    return _parity(system.mult.values(), degrees)
 
 
-def _parity(mults: Iterable[int], degrees: Sequence[int], coefficients: str) -> ParityReport:
+def _parity(mults: Iterable[int], degrees: Sequence[int]) -> ParityReport:
     all_even = all(m % 2 == 0 for m in mults)
     even = sum(1 for d in degrees if d % 2 == 0)
     odd = len(degrees) - even
@@ -504,8 +503,6 @@ def _parity(mults: Iterable[int], degrees: Sequence[int], coefficients: str) -> 
         if odd:
             raise InvariantViolation("odd degree found although every multiplicity is even")
         vanish: bool | None = True
-    elif coefficients.upper() == "Z2":
-        vanish = True
     else:
         vanish = None
     return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
@@ -525,7 +522,7 @@ def implication_violations(rows: Sequence[ImplicationRow]) -> tuple[int, tuple[i
     violating pair in lexicographic order of (i, j), or None.
 
     Quadratic in the rows.  ``verify`` never runs it:
-    ``IndexTable.certify_implication`` proves the count is 0, and this
+    ``GenericShift.certify_implication`` proves the count is 0, and this
     pair loop stays the certificate's oracle.
     """
     groups: dict[int, list[int]] = {}

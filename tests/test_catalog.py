@@ -279,7 +279,17 @@ def test_indefinite_gram_is_rejected_before_closing(tmp_path):
     gram = tuple(tuple(F(x) for x in row) for row in INDEFINITE["gram"])
     seeds = [(tuple(F(x) for x in s), 2) for s in INDEFINITE["seeds"]]
     with pytest.raises(InvariantViolation, match="^gram matrix is not positive definite$"):
-        close_orbits(gram, seeds)
+        close_orbits(gram, seeds, 6)
+
+
+def test_close_orbits_stops_past_the_root_count():
+    # the A2 roots close on 6; a bound of 5 stops the walk at the sixth root
+    gram, seeds, count = SEEDED["group-a2"]
+    assert len(close_orbits(gram, seeds, count)) == count == 6
+    with pytest.raises(
+        InvariantViolation, match="^the seeds reflect to more than 5 roots, the count of the declared type$"
+    ):
+        close_orbits(gram, seeds, 5)
 
 
 def test_duplicate_names_rejected(tmp_path):
@@ -379,7 +389,8 @@ def _old_close_orbits(gram, seeds):
 
 
 def _seeded_systems():
-    """(gram, seeds) of every built-in entry, every extra entry and F4, by name."""
+    """(gram, seeds, root count of the declared type) of every built-in entry,
+    every extra entry and F4, by name."""
     repo = Path(__file__).resolve().parent.parent
     texts = [
         resources.files("rootquilt").joinpath("data/catalog.json").read_text(),
@@ -393,7 +404,8 @@ def _seeded_systems():
             seeds = [
                 (tuple(parse_rational(x) for x in o["seed"]), o["mult"]) for o in raw["orbits"]
             ]
-            systems[raw["name"]] = gram, seeds
+            cartan = raw["cartan_type"]
+            systems[raw["name"]] = gram, seeds, catalog._ROOT_COUNT[cartan["family"]](cartan["rank"])
     return systems
 
 
@@ -411,20 +423,21 @@ ORACLE_CASES = {
     "spin5-b2-late-long": (
         ((F(1), F(0)), (F(0), F(1))),
         [((F(0), F(1)), 2), ((F(1), F(0)), 2), ((F(-1), F(1)), 1)],
+        8,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_close_orbits_matches_oracle(name):
-    gram, seeds = ORACLE_CASES[name]
-    assert close_orbits(gram, seeds) == _old_close_orbits(gram, seeds)
+    gram, seeds, count = ORACLE_CASES[name]
+    assert close_orbits(gram, seeds, count) == _old_close_orbits(gram, seeds)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED))
 def test_close_orbits_matches_oracle_on_drawn_seeds(name):
-    gram, seeds = SEEDED[name]
-    roots = sorted(close_orbits(gram, seeds))
+    gram, seeds, count = SEEDED[name]
+    roots = sorted(close_orbits(gram, seeds, count))
 
     # the old closure costs about 1.5 s on all of F4, so it gets fewer draws
     @settings(max_examples=6 if name == "fi-f4" else 40, deadline=None)
@@ -434,9 +447,9 @@ def test_close_orbits_matches_oracle_on_drawn_seeds(name):
             expected = _old_close_orbits(gram, drawn)
         except InvariantViolation:
             with pytest.raises(InvariantViolation):
-                close_orbits(gram, drawn)
+                close_orbits(gram, drawn, count)
         else:
-            assert close_orbits(gram, drawn) == expected
+            assert close_orbits(gram, drawn, count) == expected
 
     check()
 

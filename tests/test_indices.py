@@ -5,6 +5,7 @@ import math
 import weakref
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -37,7 +38,6 @@ from rootquilt import (
     validate_generic,
     zero_index_implication,
 )
-from rootquilt.indices import index_table
 from rootquilt.lattice import GenericShift, canonical_shift
 from rootquilt.suite import run_suite
 
@@ -352,8 +352,6 @@ def test_parity_mixed_case(ai_a2):
     assert report.odd_degrees > 0 and report.even_degrees > 0
     assert report.differential_must_vanish is None
     assert report.verdict == "undetermined"
-    # over the two-element field the differential dies regardless
-    assert parity_report(shift, coefficients="Z2").differential_must_vanish is True
 
 
 def test_parity_radius_zero_smoke(catalog):
@@ -409,7 +407,7 @@ def _assert_lookups_match_oracles(shift):
     against the oracles in ``tests/oracles.py`` at every datum (q, w, q),
     and the quilt index at (q, w, q') with q' the mirrored window point."""
     group = shift.system.weyl_group()
-    table = index_table(shift)
+    table = shift
     points = shift.window_points()
     for iq, q in enumerate(points):
         lt = leading_term(q, shift)
@@ -441,8 +439,7 @@ def _assert_lookups_match_oracles(shift):
         morse = [oracles.morse_index(w, shift) for w in group]
         assert [morse_index(w, shift) for w in group] == morse
         assert poincare_polynomial(shift) == oracles.poincare_polynomial(shift)
-    for coefficients in ("Z", "Z2"):
-        assert parity_report(shift, coefficients) == oracles.parity_report(shift, coefficients)
+    assert parity_report(shift) == oracles.parity_report(shift)
 
 
 @pytest.mark.parametrize("name", ["group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2"])
@@ -518,57 +515,52 @@ def test_per_datum_lookups_never_enumerate_the_window(name, catalog):
     filtration_weight(w, shift)
     morse_index(e, shift)
     leading_term(q, shift)
-    assert "points" not in vars(index_table(shift))
-
-
-def test_index_table_is_built_once_per_shift(a1_shift):
-    assert index_table(a1_shift) is index_table(a1_shift)
+    assert "points" not in vars(shift)
 
 
 def test_index_table_dies_with_its_shift(group_a2):
-    # the table holds no reference to its shift, so dropping the shift frees
-    # both by reference counting, with the cycle collector off
+    # the window tables hold no reference back to the shift, so dropping it
+    # frees the shift and its tables with the cycle collector off
     shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
-    table = weakref.ref(index_table(shift))
-    assert table().perms and table().degrees
+    assert shift.perms and shift.degrees
+    ref = weakref.ref(shift)
     gc.disable()
     try:
         del shift
-        assert table() is None
+        assert ref() is None
     finally:
         gc.enable()
 
 
-def test_index_table_outlives_its_shift(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
-    table = index_table(shift)
-    del shift
-    twin = index_table(
+def test_shifts_built_alike_have_equal_tables(group_a2):
+    shift, twin = (
         canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+        for _ in range(2)
     )
-    assert table.points == twin.points
-    assert table.chambers == twin.chambers
-    assert table.degrees == twin.degrees
-    assert table.perms == twin.perms
+    assert shift is not twin
+    assert shift.points == twin.points
+    assert shift.chambers == twin.chambers
+    assert shift.degrees == twin.degrees
+    assert shift.perms == twin.perms
+    assert shift.filtration == twin.filtration
 
 
 def test_index_table_rejects_a_floor_boundary(group_a1):
-    # 2 alpha(alpha/4) = 1: an unvalidated shift on a floor boundary
-    shift = GenericShift(group_a1.system, group_a1.lattice, (F(1, 4),), Mode.REGULAR_ONLY, F(0))
+    # 2 alpha(alpha/4) = 1: a shift built directly on a floor boundary
+    system, lattice, a = group_a1.system, group_a1.lattice, (F(1, 4),)
     message = r"^2\*alpha\(q\+a\) = -1 at alpha=\(-1\), q=\(0\)$"
     with pytest.raises(FloorBoundary, match=message):
-        index_table(shift)
+        GenericShift(system, lattice, a, Mode.REGULAR_ONLY, 0)
     # the message validate_generic gives for the same shift
     with pytest.raises(FloorBoundary, match=message):
-        validate_generic(group_a1.system, group_a1.lattice, shift.a, Mode.REGULAR_ONLY, F(0))
-    # the per-datum lookups raise through the table, the oracles at the floor term
-    e, zero = group_a1.system.weyl_group().identity, (F(0),)
-    for fn in (relative_degree, oracles.relative_degree):
-        with pytest.raises(FloorBoundary):
-            fn(e, zero, shift)
-    for fn in (quilt_index, oracles.quilt_index):
-        with pytest.raises(FloorBoundary):
-            fn(QuiltDatum(shift, zero, e, zero))
+        validate_generic(system, lattice, a, Mode.REGULAR_ONLY, F(0))
+    # the oracles raise at the floor term
+    shift = SimpleNamespace(system=system, lattice=lattice, a=a, window_radius=F(0))
+    e, zero = system.weyl_group().identity, (F(0),)
+    with pytest.raises(FloorBoundary):
+        oracles.relative_degree(e, zero, shift)
+    with pytest.raises(FloorBoundary):
+        oracles.quilt_index(QuiltDatum(shift, zero, e, zero))
 
 
 def test_index_table_morse_mode_mismatch(group_a1):
@@ -576,7 +568,7 @@ def test_index_table_morse_mode_mismatch(group_a1):
         group_a1.system, group_a1.lattice, (F(1, 20),), Mode.REGULAR_ONLY, F(0)
     )
     with pytest.raises(ModeMismatch):
-        index_table(shift).morse_index(0)
+        shift.morse_index(0)
 
 
 # -- the window permutations and filtration weights against w(q) -------------
@@ -587,7 +579,7 @@ PAIRS = ["group-a1", "aii-a1", "sphere-a1", "group-a2", "ai-a2", "eiv-a2"]
 def _assert_perms_match_action(shift):
     group = shift.system.weyl_group()
     points = shift.window_points()
-    table = index_table(shift)
+    table = shift
     for k, w in enumerate(group):
         assert [points[i] for i in table.perms[k]] == [w(q) for q in points]
         assert group.elements[table.inverses[k]] == group.inverse(w)
@@ -610,7 +602,7 @@ def test_window_perms_match_weyl_action_f4(f4_system, f4_lattice):
 
 def _assert_filtration_matches_oracle(shift):
     group = shift.system.weyl_group()
-    assert index_table(shift).filtration == [oracles.filtration_weight(w, shift) for w in group]
+    assert shift.filtration == [oracles.filtration_weight(w, shift) for w in group]
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -632,6 +624,6 @@ def test_window_perms_reject_a_window_that_is_not_weyl_stable(group_a1):
     shift = validate_generic(
         group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
     )
-    index_table(shift).points = shift.window_points()[:2]
+    shift.points = shift.window_points()[:2]
     with pytest.raises(InvariantViolation, match="s1 moves a window point off the window"):
-        index_table(shift).perms
+        shift.perms

@@ -29,7 +29,6 @@ from rootquilt import (
     load_catalog,
     validate_generic,
 )
-from rootquilt.indices import index_table
 from rootquilt.lattice import DEFAULT_POINT_CAP, GenericShift, weighted_root_sum
 from rootquilt.linalg import add, gram_pair, inverse, mat_mul, scale, transpose, vec
 
@@ -327,7 +326,7 @@ def _window_validate_generic(system, lattice, a, mode, radius, points=None):
             if abs(2 * system.pairing(al, a)) >= F(1, 2):
                 raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec(al)}")
     shift = GenericShift(system, lattice, a, mode, radius)
-    index_table(shift).points = points
+    shift.points = points
     return shift
 
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import oracles
 from rootquilt import canonical_shift, load_catalog
-from rootquilt.catalog import _read_entries, close_orbits
-from rootquilt.indices import index_table, monotone_data
+from rootquilt.catalog import _ROOT_COUNT, _read_entries, close_orbits
+from rootquilt.indices import monotone_data
 from rootquilt.linalg import div, dot, exact, parse_rational, reflect
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,7 +91,7 @@ def test_built_coordinates_are_in_normal_form(data):
         *shift.a,
         *(x for q in shift.window_points() for x in q),
         *md.rho, *md.x0, md.tau,
-        *index_table(shift).filtration,
+        *shift.filtration,
     ]
     assert [x for x in coordinates if not _is_normal(x)] == []
 
@@ -121,13 +121,14 @@ def test_reflect_matches_the_fraction_oracle(triples):
 
 @functools.cache
 def _raw_systems():
-    """(Gram matrix, seeds) of every catalog entry, parsed."""
+    """(Gram matrix, seeds, root count of the declared type) of every catalog entry, parsed."""
     out = []
     for path in CATALOGS:
         for raw in _read_entries(path):
             gram = tuple(tuple(map(parse_rational, row)) for row in raw["gram"])
             seeds = [(tuple(map(parse_rational, o["seed"])), o["mult"]) for o in raw["orbits"]]
-            out.append((gram, seeds))
+            cartan = raw["cartan_type"]
+            out.append((gram, seeds, _ROOT_COUNT[cartan["family"]](cartan["rank"])))
     return tuple(out)
 
 
@@ -136,12 +137,12 @@ def _raw_systems():
 def test_close_orbits_matches_the_fraction_oracle(data):
     # scaling the Gram matrix keeps every reflection, scaling the seeds
     # scales every root: both draw "p/q" data from the catalog's integers
-    gram, seeds = data.draw(st.sampled_from(_raw_systems()), label="entry")
+    gram, seeds, count = data.draw(st.sampled_from(_raw_systems()), label="entry")
     c = data.draw(st.sampled_from([1, F(1, 2), F(2, 3), 3]), label="gram scale")
     d = data.draw(st.sampled_from([1, F(1, 2), F(-3, 2), 2]), label="seed scale")
     gram = tuple(tuple(exact(c * x) for x in row) for row in gram)
     seeds = [(tuple(exact(d * x) for x in s), m) for s, m in seeds]
-    got = close_orbits(gram, seeds)
+    got = close_orbits(gram, seeds, count)
     expected = oracles.close_orbits(
         tuple(map(_fractions, gram)), [(_fractions(s), m) for s, m in seeds]
     )

@@ -21,7 +21,6 @@ from rootquilt import (
     triangularity_certificate,
     validate_generic,
 )
-from rootquilt.indices import index_table
 from rootquilt.lattice import canonical_shift
 from rootquilt.roots import RestrictedRootSystem, WeylElement
 
@@ -204,10 +203,9 @@ def test_chamber_witnesses_cover_when_window_grows(group_a2):
 def _corrupted_shift(group_a2):
     """A fresh shift whose window permutation of s1 swaps two images."""
     shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
-    table = index_table(shift)
-    perm = list(table.perms[1])
+    perm = list(shift.perms[1])
     perm[0], perm[1] = perm[1], perm[0]
-    table.perms[1] = tuple(perm)
+    shift.perms[1] = tuple(perm)
     return shift
 
 
@@ -225,9 +223,8 @@ def test_certificates_leave_the_fraction_oracles_alone(group_a2, monkeypatch):
     shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the certificates read the index table")
+        raise AssertionError("the certificates read the shift's tables")
 
-    index_table(shift)  # the per-root data are built with the pairing, before the patch
     monkeypatch.setattr(WeylElement, "__call__", forbidden)
     monkeypatch.setattr(RestrictedRootSystem, "chamber_of", forbidden)
     monkeypatch.setattr(RestrictedRootSystem, "pairing", forbidden)

@@ -15,14 +15,13 @@ import oracles
 from rootquilt import Lattice, Mode, canonical_shift, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
 from rootquilt.cli import _join_negative_values, build_parser, main
-from rootquilt.indices import index_table
 from rootquilt.lattice import DEFAULT_POINT_CAP
 from rootquilt.suite import Report, _add_bad_ugly_sweep, run_suite
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     return subprocess.run(
@@ -30,7 +29,7 @@ def run_cli(*args):
         capture_output=True,
         env=env,
         cwd=REPO,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -93,7 +92,7 @@ def test_bad_ugly_failure_names_first_failing_datum():
 
 def test_bad_ugly_pass_detail_is_the_class_counts(group_a1):
     shift = canonical_shift(group_a1.system, group_a1.lattice, Mode.SMALL_IN_CHAMBER, F(0))
-    check = _bad_ugly_report(index_table(shift), shift.window_points()).checks[0]
+    check = _bad_ugly_report(shift, shift.window_points()).checks[0]
     assert (check.status, check.detail) == ("pass", "1 bad (index 0), 1 ugly (index > 0)")
 
 
@@ -389,6 +388,20 @@ def test_malformed_builtin_copy_exits_2_naming_the_entry(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: entry '{name}': {message}\n"
+
+
+def test_seeds_that_never_close_exit_2_at_the_declared_root_count(tmp_path):
+    # (3, 1) is no root of A2: its reflections never close, so the closure
+    # must stop at the seventh root rather than run on (a timeout fails it)
+    orbits = [{"seed": [1, 0], "mult": 8}, {"seed": [3, 1], "mult": 8}]
+    path = _builtin_copy("eiv-a2", tmp_path, orbits=orbits)
+    result = run_cli("info", "--pair", "eiv-a2", "--catalog", path, timeout=2)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"error: entry 'eiv-a2': the seeds reflect to more than 6 roots,"
+        b" the count of the declared type\n"
+    )
 
 
 def test_integral_floats_in_a_catalog_give_the_builtin_bytes(tmp_path):
