@@ -15,7 +15,6 @@ from .errors import (
     FloorBoundary,
     InvariantViolation,
     LatticeNotStable,
-    ModeMismatch,
     NotDominant,
     NotInChamber,
     NotRegular,
@@ -51,7 +50,6 @@ from .lattice import (
     Generator,
     GenericShift,
     Lattice,
-    Mode,
     canonical_shift,
     chords,
     generators,

@@ -17,10 +17,9 @@ from fractions import Fraction
 from .catalog import get_entry, load_catalog
 from .errors import RootQuiltError
 from .indices import QuiltDatum, classify, monotone_data, quilt_index
-from .lattice import Mode
 from .linalg import format_rational, format_vec, parse_rational
 from .ring import Generator, star_unit_sector, triangularity_certificate
-from .suite import Report, build_shift, emit, run_suite
+from .suite import SHIFT_MODE, Report, build_shift, emit, run_suite
 from .triangle import (
     boundary_deviation,
     build_triple,
@@ -208,7 +207,7 @@ def cmd_verify(args) -> int:
 def _entry_and_shift(args):
     entry = _entry(args)
     params = _common_params(args)
-    shift = build_shift(entry, params["epsilon"], params["radius"], Mode.SMALL_IN_CHAMBER)
+    shift = build_shift(entry, params["epsilon"], params["radius"])
     return entry, params, shift
 
 
@@ -219,7 +218,7 @@ def cmd_index(args) -> int:
     q_out = entry.lattice.from_coords(_parse_coords(entry, args.q_out))
     w_out = group.from_word(_parse_word(args.w_out))
     idx = quilt_index(QuiltDatum(shift, q_in, w_out, q_out))
-    report = Report(entry.name, "index", _report_params(params, shift))
+    report = Report(entry.name, "index", _report_params(params))
     report.add_row("index", "q_in", args.q_in)
     report.add_row("index", "w_out", w_out.name)
     report.add_row("index", "q_out", args.q_out)
@@ -234,7 +233,7 @@ def cmd_index(args) -> int:
 def cmd_filtration(args) -> int:
     entry, params, shift = _entry_and_shift(args)
     group = entry.system.weyl_group()
-    report = Report(entry.name, "filtration", _report_params(params, shift))
+    report = Report(entry.name, "filtration", _report_params(params))
     for w, fil in zip(group, shift.filtration):
         report.add_row("filtration", w.name, fil)
     for q, iw in zip(shift.points, shift.chambers):
@@ -251,7 +250,7 @@ def cmd_product(args) -> int:
     q2 = entry.lattice.from_coords(_parse_coords(entry, args.q2))
     w = group.from_word(_parse_word(args.w))
     result = star_unit_sector(q1, Generator(w, q2))
-    report = Report(entry.name, "product", _report_params(params, shift))
+    report = Report(entry.name, "product", _report_params(params))
     report.add_row("product", "left", f"y[e;{args.q1}]")
     report.add_row("product", "right", f"y[{w.name};{args.q2}]")
     report.add_row("product", "result", result.label())
@@ -264,7 +263,7 @@ def cmd_product(args) -> int:
 def cmd_certify(args) -> int:
     entry, params, shift = _entry_and_shift(args)
     cert = triangularity_certificate(shift)
-    report = Report(entry.name, "certify", _report_params(params, shift))
+    report = Report(entry.name, "certify", _report_params(params))
     for row in cert.rows:
         report.add_row(
             "triangularity",
@@ -294,7 +293,7 @@ def cmd_triangle(args) -> int:
     hull = verify_hull(sol, samples=args.samples, tol=args.tol)
     bdry = boundary_deviation(sol, samples=args.samples)
     sym = symmetry_residual(sol)
-    report = Report(entry.name, "triangle", _report_params(params, shift))
+    report = Report(entry.name, "triangle", _report_params(params))
     report.add_row("triangle", "q", args.q)
     report.add_row("triangle", "w", w.name)
     report.add_row("triangle", "nodes", args.quad_nodes)
@@ -309,14 +308,14 @@ def cmd_triangle(args) -> int:
     return 0 if report.passed else 1
 
 
-def _report_params(params: dict, shift) -> dict:
+def _report_params(params: dict) -> dict:
     out = {}
     for key, value in params.items():
         if value is None:
             out[key] = "default"
         else:
             out[key] = format_rational(value)
-    out["mode"] = shift.mode.value
+    out["mode"] = SHIFT_MODE
     return out
 
 

@@ -41,7 +41,7 @@ class NotInChamber(RootQuiltError):
 
 
 class NotSmall(RootQuiltError):
-    """Some |2*alpha(a)| >= 1/2 in small-in-chamber mode."""
+    """Some |2*alpha(a)| >= 1/2 at the shift a."""
 
 
 class NotDominant(RootQuiltError):
@@ -50,10 +50,6 @@ class NotDominant(RootQuiltError):
 
 class NotUgly(RootQuiltError):
     """The datum is not of the ugly class."""
-
-
-class ModeMismatch(RootQuiltError):
-    """An operation required a small-in-chamber shift."""
 
 
 class WindowTooSmall(RootQuiltError):

@@ -231,8 +231,6 @@ class ParityReport:
     all_multiplicities_even: bool
     even_degrees: int
     odd_degrees: int
-    min_degree: int
-    max_degree: int
     differential_must_vanish: bool | None  # None means undetermined
 
     @property
@@ -250,13 +248,12 @@ def parity_report(shift: GenericShift) -> ParityReport:
     undetermined here.
     """
     all_even = all(m % 2 == 0 for m in shift.mult)
-    degrees = [d for row in shift.degrees for d in row]
-    even = sum(1 for d in degrees if d % 2 == 0)
-    odd = len(degrees) - even
+    odd = sum(d % 2 for row in shift.degrees for d in row)
+    even = len(shift.degrees) * len(shift.positive) - odd
     if all_even:
         if odd:
             raise InvariantViolation("odd degree found although every multiplicity is even")
         vanish: bool | None = True
     else:
         vanish = None
-    return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
+    return ParityReport(all_even, even, odd, vanish)

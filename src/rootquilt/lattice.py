@@ -4,15 +4,16 @@ The lattice is supplied as basis data per catalog entry.  Window
 enumeration uses the Gram norm, so windows are Weyl invariant and the
 symmetry properties are exactly testable; it sweeps a box of basis
 coordinates in integers, against the norm matrix scaled once to integers.
-A generic shift is a rational vector certified to avoid every wall and
-every floor boundary inside a stated window.  Because 2*alpha(q) is an
-integer at every lattice point q, the certificate reads the roots alone,
-and the shift builds the exact integer tables of its window on first read.
+A generic shift is a rational vector in the base chamber, small, and
+certified to avoid every wall and every floor boundary inside a stated
+window; its constructor is the one place that certifies it.  Because
+2*alpha(q) is an integer at every lattice point q, the certificate reads
+the roots alone, and the shift builds the exact integer tables of its
+window on first read.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .errors import (
     FloorBoundary,
     InvariantViolation,
     LatticeNotStable,
-    ModeMismatch,
     NotInChamber,
     NotRegular,
     NotSmall,
@@ -134,15 +134,26 @@ class Lattice:
         return [self.from_coords(c) for _, c in found]
 
 
-class Mode(enum.Enum):
-    REGULAR_ONLY = "regular_only"
-    SMALL_IN_CHAMBER = "small_in_chamber"
-
-
 @dataclass
 class GenericShift:
-    """A certified shift vector: regular, boundary-free in its window, with
-    the exact tables read off it, per root and over the window.
+    """A certified shift vector: regular, boundary-free in its window, in the
+    base chamber and small, with the exact tables read off it, per root and
+    over the window.
+
+    The constructor certifies the shift, checking in order: regularity (no
+    wall contains ``a``), a non-negative window radius, absence of floor
+    boundaries (no 2*alpha(q + a) is an integer for window points q), and
+    that ``a`` lies in the base chamber with every |2*alpha(a)| < 1/2.  Since
+    2*alpha(q) is an integer at every lattice point, 2*alpha(q + a) is an
+    integer exactly when 2*alpha(a) is, so the floor boundaries are found
+    over the roots alone and reported at the first window point (the
+    origin), as a window scan would.
+
+    The strict 1/2 matters: the filtration difference between a chamber
+    element and the identity is a sum of terms m_alpha (1 - 4 alpha(a)) over
+    flipped roots, so 1/2 is exactly the threshold below which the identity
+    is the unique filtration minimum, as ``morse_index`` and the
+    ``filtration_minimum`` check assume.
 
     Since 2*alpha(q) is an integer at every lattice point q, the floor terms
     f[q][alpha] = floor(2*alpha(q + a)) = 2*alpha(q) + floor(2*alpha(a)) are
@@ -181,10 +192,10 @@ class GenericShift:
     read through the root permutation of w^-1, and the rows determine the
     points; ``perms[k][iq]`` is the index of w_k(q) found that way.
 
-    The constructor builds the per-root data and rejects a floor boundary;
-    ``floors_at``, ``chamber_index`` and ``degree`` answer from them for one
-    lattice point.  ``points``, the one enumeration of the window, and each
-    window table are built on first read.  Window points are indexed in
+    The constructor builds the per-root data; ``floors_at``,
+    ``chamber_index`` and ``degree`` answer from them for one lattice point.
+    ``points``, the one enumeration of the window, and each window table
+    are built on first read.  Window points are indexed in
     ``points`` order, chamber elements in Weyl group order and roots in
     ``system.roots`` order.
     """
@@ -192,21 +203,31 @@ class GenericShift:
     system: RestrictedRootSystem
     lattice: Lattice
     a: Vec
-    mode: Mode
     window_radius: Scalar
 
     def __post_init__(self):
         system, roots = self.system, self.system.roots
-        group = self._group = system.weyl_group()
+        self.a = vec(self.a)
+        self.window_radius = exact(self.window_radius)
         self.two_alpha_a: tuple[Scalar, ...] = tuple(2 * system.pairing(al, self.a) for al in roots)
-        # 2*alpha(q + a) is an integer exactly when 2*alpha(a) is, so a floor
-        # boundary is named at the first window point, the origin
+        walls = [al for al, val in zip(roots, self.two_alpha_a) if val == 0]
+        if walls:
+            raise NotRegular(walls)
+        if self.window_radius < 0:
+            raise ValueError("radius must be non-negative")
         for al, val in zip(roots, self.two_alpha_a):
             if val.denominator == 1:
                 origin = zero_vec(len(al))
                 raise FloorBoundary(
                     al, origin, f"2*alpha(q+a) = {val} at alpha={_vec_text(al)}, q={_vec_text(origin)}"
                 )
+        for beta in system.simple_roots:
+            if system.pairing(beta, self.a) <= 0:
+                raise NotInChamber(f"shift fails beta={_vec_text(beta)}")
+        for al, val in zip(roots, self.two_alpha_a):
+            if 2 * abs(val) >= 1:
+                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec_text(al)}")
+        group = self._group = system.weyl_group()
         self.mult: tuple[int, ...] = tuple(system.mult[al] for al in roots)
         self.floor_a: tuple[int, ...] = tuple(math.floor(t) for t in self.two_alpha_a)
         self.positive = group.positive
@@ -342,8 +363,6 @@ class GenericShift:
 
     def morse_index(self, iw: int) -> int:
         """``morse_index`` of chamber element iw."""
-        if self.mode is not Mode.SMALL_IN_CHAMBER:
-            raise ModeMismatch("morse_index requires a small-in-chamber shift")
         pos = self.positive[iw]
         by_count = sum(self.mult[i] for i in pos if self.floor_a[i] < 0)
         by_floor = -sum(self.mult[i] * self.floor_a[i] for i in pos)
@@ -353,46 +372,11 @@ class GenericShift:
 
 
 def validate_generic(
-    system: RestrictedRootSystem,
-    lattice: Lattice,
-    a: Vec,
-    mode: Mode = Mode.SMALL_IN_CHAMBER,
-    radius: Scalar = 0,
+    system: RestrictedRootSystem, lattice: Lattice, a: Vec, radius: Scalar = 0
 ) -> GenericShift:
-    """Exact finite certification of a shift over roots x window points.
-
-    Checks, in order: regularity (no wall contains ``a``), absence of floor
-    boundaries (no 2*alpha(q + a) is an integer for window points q), and in
-    small-in-chamber mode that ``a`` lies in the base chamber with every
-    |2*alpha(a)| < 1/2.
-
-    Since 2*alpha(q) is an integer at every lattice point, 2*alpha(q + a) is
-    an integer exactly when 2*alpha(a) is, so the ``GenericShift``
-    constructor finds the floor boundaries over the roots alone and reports
-    them at the first window point (the origin), as a window scan would.
-    The window is enumerated on the first read of the shift's ``points``.
-
-    The strict 1/2 matters: the filtration difference between a chamber
-    element and the identity is a sum of terms m_alpha (1 - 4 alpha(a)) over
-    flipped roots, so 1/2 is exactly the threshold below which the identity
-    is the unique filtration minimum.
-    """
-    a = vec(a)
-    radius = exact(radius)
-    walls = [al for al in system.roots if system.pairing(al, a) == 0]
-    if walls:
-        raise NotRegular(walls)
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    shift = GenericShift(system, lattice, a, mode, radius)
-    if mode is Mode.SMALL_IN_CHAMBER:
-        for beta in system.simple_roots:
-            if system.pairing(beta, a) <= 0:
-                raise NotInChamber(f"shift fails beta={_vec_text(beta)}")
-        for al, val in zip(system.roots, shift.two_alpha_a):
-            if 2 * abs(val) >= 1:
-                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec_text(al)}")
-    return shift
+    """The shift ``a`` over the window of the given radius, certified by the
+    ``GenericShift`` constructor, which makes every check."""
+    return GenericShift(system, lattice, a, radius)
 
 
 def weighted_root_sum(system: RestrictedRootSystem) -> Vec:
@@ -404,10 +388,7 @@ def weighted_root_sum(system: RestrictedRootSystem) -> Vec:
 
 
 def canonical_shift(
-    system: RestrictedRootSystem,
-    lattice: Lattice,
-    mode: Mode = Mode.SMALL_IN_CHAMBER,
-    radius: Scalar = 0,
+    system: RestrictedRootSystem, lattice: Lattice, radius: Scalar = 0
 ) -> GenericShift:
     """The reproducible default shift epsilon * rho-dual.
 
@@ -415,29 +396,28 @@ def canonical_shift(
     returns the first scaling of the weighted root sum that passes
     validation at the requested radius.
 
-    Every check of ``validate_generic`` is read off the values at rho, since
-    alpha(epsilon * rho) = epsilon * alpha(rho): the sign conditions do not
-    depend on epsilon, and a candidate fails on a floor boundary or on
-    smallness exactly when some epsilon * 2*alpha(rho) is an integer or at
-    least 1/2 in size.  So the first candidate passing these is valid, and
-    only it is validated.  The scan runs in integers: with 2*alpha(rho) =
+    Every check of the ``GenericShift`` constructor is read off the values
+    at rho, since alpha(epsilon * rho) = epsilon * alpha(rho): the sign
+    conditions do not depend on epsilon, and a candidate fails on a floor
+    boundary or on smallness exactly when some epsilon * 2*alpha(rho) is an
+    integer or at least 1/2 in size.  So the first candidate passing these
+    is valid, and only it is validated.  The scan runs in integers: with 2*alpha(rho) =
     p/q in lowest terms and epsilon = 1/k, the value is an integer exactly
     when q*k divides p, and at least 1/2 in size exactly when 2|p| >= q*k.
     """
     rho = weighted_root_sum(system)
     two_alpha_rho = [2 * system.pairing(al, rho) for al in system.roots]
-    small = mode is Mode.SMALL_IN_CHAMBER
-    signs_ok = all(v != 0 for v in two_alpha_rho) and not (
-        small and any(system.pairing(beta, rho) <= 0 for beta in system.simple_roots)
+    signs_ok = all(v != 0 for v in two_alpha_rho) and all(
+        system.pairing(beta, rho) > 0 for beta in system.simple_roots
     )
     pairs = [(v.numerator, v.denominator) for v in two_alpha_rho]
     candidates = range(3, 2 * MAX_DENOMINATOR_INDEX + 2, 2) if signs_ok else ()
     for k in candidates:
         if any(p % (q * k) == 0 for p, q in pairs):
             continue
-        if small and any(2 * abs(p) >= q * k for p, q in pairs):
+        if any(2 * abs(p) >= q * k for p, q in pairs):
             continue
-        return validate_generic(system, lattice, scale(div(1, k), rho), mode, radius)
+        return validate_generic(system, lattice, scale(div(1, k), rho), radius)
     raise InvariantViolation("no canonical shift found; data is degenerate")
 
 

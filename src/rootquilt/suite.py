@@ -20,12 +20,14 @@ import json
 from .catalog import CatalogEntry
 from .errors import InvariantViolation, RootQuiltError
 from .indices import MonotoneData, monotone_data, parity_report, poincare_polynomial
-from .lattice import GenericShift, Mode, canonical_shift, validate_generic, weighted_root_sum
+from .lattice import GenericShift, canonical_shift, validate_generic, weighted_root_sum
 from .linalg import Scalar, Vec, format_rational, format_vec, scale
 from .ring import finitely_generated_witness, r_module_basis_check, triangularity_certificate
 from .triangle import boundary_deviation, build_triple, plane_model, solve_triangle, verify_hull
 
 REPORT_SCHEMA_ID = "quilt-suite-report/v1"
+# every report's "mode" parameter: the shift is small and in the base chamber
+SHIFT_MODE = "small_in_chamber"
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -203,16 +205,11 @@ def _add_area_sweep(report: Report, shift: GenericShift, points: list[Vec], md: 
 # -- the suite ----------------------------------------------------------------
 
 
-def build_shift(
-    entry: CatalogEntry,
-    epsilon: Scalar | None,
-    radius: Scalar,
-    mode: Mode = Mode.SMALL_IN_CHAMBER,
-) -> GenericShift:
+def build_shift(entry: CatalogEntry, epsilon: Scalar | None, radius: Scalar) -> GenericShift:
     if epsilon is None:
-        return canonical_shift(entry.system, entry.lattice, mode, radius)
+        return canonical_shift(entry.system, entry.lattice, radius)
     a = scale(epsilon, weighted_root_sum(entry.system))
-    return validate_generic(entry.system, entry.lattice, a, mode, radius)
+    return validate_generic(entry.system, entry.lattice, a, radius)
 
 
 def run_suite(
@@ -259,7 +256,7 @@ def _run_suite(
             "epsilon": "canonical" if epsilon is None else format_rational(epsilon),
             "a": format_vec(shift.a),
             "radius": format_rational(radius),
-            "mode": shift.mode.value,
+            "mode": SHIFT_MODE,
         },
     )
     report.add_row("entry", "name", entry.name)

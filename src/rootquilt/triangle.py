@@ -535,7 +535,10 @@ def _mobius_through(src: tuple[complex, complex, complex], dst: tuple[complex, c
     return (h * a - f * c) / det, (h * b - f * d) / det, (e * c - g * a) / det, (e * d - g * b) / det
 
 
-def symmetry_residual(sol: TriangleMapSolution, samples: int = 64) -> float:
+_SYMMETRY_SAMPLES = 64  # interior points at which the reflection symmetry is compared
+
+
+def symmetry_residual(sol: TriangleMapSolution) -> float:
     """Deviation from the x <-> y reflection symmetry of the triangle.
 
     The anti-conformal disk involution swapping the prevertices 1 and i
@@ -547,6 +550,6 @@ def symmetry_residual(sol: TriangleMapSolution, samples: int = 64) -> float:
         zc = np.conj(z)
         return (p * zc + q) / (r * zc + s)
 
-    zs = interior_samples(samples, radius=0.85)
+    zs = interior_samples(_SYMMETRY_SAMPLES, radius=0.85)
     lhs, rhs = np.split(sol.map_points(np.concatenate([sigma(zs), zs])), 2)
     return float(np.max(np.abs(lhs - 1j * np.conj(rhs))))

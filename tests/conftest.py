@@ -8,7 +8,6 @@ import pytest
 
 from rootquilt import (
     Lattice,
-    Mode,
     RestrictedRootSystem,
     get_entry,
     load_catalog,
@@ -40,9 +39,7 @@ def ai_a2():
 @pytest.fixture(scope="session")
 def a1_shift(group_a1):
     """The worked shift: 2*alpha(a) = 1/5, window radius 3."""
-    return validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
-    )
+    return validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(3))
 
 
 def make_rank1(mult: int = 2) -> RestrictedRootSystem:

@@ -48,7 +48,6 @@ from rootquilt.errors import (
     FloorBoundary,
     InvariantViolation,
     LatticeNotStable,
-    ModeMismatch,
     NotUgly,
     QuadratureNotConverged,
 )
@@ -57,7 +56,6 @@ from rootquilt.lattice import (
     MAX_DENOMINATOR_INDEX,
     GenericShift,
     Lattice,
-    Mode,
     validate_generic,
     weighted_root_sum,
 )
@@ -349,15 +347,13 @@ def det(m: Mat) -> Fraction:
 def canonical_shift(
     system: RestrictedRootSystem,
     lattice: Lattice,
-    mode: Mode = Mode.SMALL_IN_CHAMBER,
     radius: Fraction = Fraction(0),
 ) -> GenericShift:
     """The reproducible default shift epsilon * rho-dual."""
     rho = weighted_root_sum(system)
     two_alpha_rho = [2 * system.pairing(al, rho) for al in system.roots]
-    small = mode is Mode.SMALL_IN_CHAMBER
-    signs_ok = all(v != 0 for v in two_alpha_rho) and not (
-        small and any(system.pairing(beta, rho) <= 0 for beta in system.simple_roots)
+    signs_ok = all(v != 0 for v in two_alpha_rho) and all(
+        system.pairing(beta, rho) > 0 for beta in system.simple_roots
     )
     candidates = range(1, MAX_DENOMINATOR_INDEX + 1) if signs_ok else ()
     for d in candidates:
@@ -365,9 +361,9 @@ def canonical_shift(
         values = [eps * v for v in two_alpha_rho]
         if any(v.denominator == 1 for v in values):
             continue
-        if small and any(abs(v) >= Fraction(1, 2) for v in values):
+        if any(abs(v) >= Fraction(1, 2) for v in values):
             continue
-        return validate_generic(system, lattice, scale(eps, rho), mode, radius)
+        return validate_generic(system, lattice, scale(eps, rho), radius)
     raise InvariantViolation("no canonical shift found; data is degenerate")
 
 
@@ -453,8 +449,6 @@ def morse_index(w: WeylElement, shift: GenericShift) -> int:
     Computed two ways (negative-root multiplicity count and a floor sum)
     which must agree under the smallness hypothesis.
     """
-    if shift.mode is not Mode.SMALL_IN_CHAMBER:
-        raise ModeMismatch("morse_index requires a small-in-chamber shift")
     system = shift.system
     pos = system.chamber_positive_system(w)
     by_count = sum(system.mult[al] for al in pos if system.pairing(al, shift.a) < 0)
@@ -505,7 +499,7 @@ def _parity(mults: Iterable[int], degrees: Sequence[int]) -> ParityReport:
         vanish: bool | None = True
     else:
         vanish = None
-    return ParityReport(all_even, even, odd, min(degrees), max(degrees), vanish)
+    return ParityReport(all_even, even, odd, vanish)
 
 
 ImplicationRow = tuple[int, Fraction, Fraction]  # (relative degree, action, filtration weight)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from rootquilt import (
     Generator,
-    Mode,
     QuiltClass,
     QuiltDatum,
     RestrictedRootSystem,
@@ -76,7 +75,7 @@ def test_criterion_02_bad_ugly_sweep():
     total_bad = total_ugly = 0
     for name in SWEEP_ENTRIES:
         entry = get_entry(name)
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(4))
+        shift = canonical_shift(entry.system, entry.lattice, F(4))
         for q in shift.window_points():
             for w in entry.system.weyl_group():
                 if classify(q, w, shift) is QuiltClass.BAD:
@@ -96,7 +95,7 @@ def test_criterion_03_worked_exact_values():
     entry = get_entry("group-a1")
     sys_ = entry.system
     md = monotone_data(sys_, F(1, 8))
-    shift = validate_generic(sys_, entry.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3))
+    shift = validate_generic(sys_, entry.lattice, (F(1, 20),), F(3))
     W = sys_.weyl_group()
     s = W.elements[1]
     # independent constants from hand evaluation of the index and capping formulas
@@ -115,7 +114,7 @@ def test_criterion_04_implication_sweep():
     checked = 0
     for name in SWEEP_ENTRIES:
         entry = get_entry(name)
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+        shift = canonical_shift(entry.system, entry.lattice, F(3))
         md = monotone_data(entry.system)
         data = [(q, w) for q in shift.window_points() for w in entry.system.weyl_group()]
         for d_in in data:
@@ -130,7 +129,7 @@ def test_criterion_04_implication_sweep():
 def test_criterion_05_filtration_minimum_and_f4_order():
     t0 = time.monotonic()
     for entry in load_catalog():
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(1))
+        shift = canonical_shift(entry.system, entry.lattice, F(1))
         W = entry.system.weyl_group()
         if entry.name == "eiv-a2":
             assert W.order == 6
@@ -148,7 +147,7 @@ def test_criterion_05_filtration_minimum_and_f4_order():
 
 def test_criterion_06_poincare_polynomials():
     for entry in load_catalog():
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+        shift = canonical_shift(entry.system, entry.lattice, F(0))
         coeffs = poincare_polynomial(shift)
         assert coeffs == coeffs[::-1]
         assert len(coeffs) - 1 == entry.system.dim_lambda()
@@ -160,7 +159,7 @@ def test_criterion_06_poincare_polynomials():
 
 def test_criterion_07_parity():
     for entry in load_catalog():
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(4))
+        shift = canonical_shift(entry.system, entry.lattice, F(4))
         par = parity_report(shift)
         if entry.name == "ai-a2":
             assert not par.all_multiplicities_even
@@ -175,7 +174,7 @@ def test_criterion_07_parity():
 
 def test_criterion_08_ring_certificates_and_laws():
     for entry in load_catalog():
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+        shift = canonical_shift(entry.system, entry.lattice, F(3))
         cert = triangularity_certificate(shift)
         assert cert.complete, entry.name
         fg = finitely_generated_witness(shift)

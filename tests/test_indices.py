@@ -15,8 +15,6 @@ import oracles
 from rootquilt import (
     FloorBoundary,
     InvariantViolation,
-    Mode,
-    ModeMismatch,
     NotUgly,
     QuiltClass,
     QuiltDatum,
@@ -92,7 +90,7 @@ def test_quilt_index_trivial_cases(a1_shift):
 
 
 def test_bad_data_have_index_zero(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(3))
     for q in shift.window_points():
         w = group_a2.system.chamber_of(tuple(a + b for a, b in zip(q, shift.a)))
         assert classify(q, w, shift) is QuiltClass.BAD
@@ -118,13 +116,13 @@ def test_ugly_index_worked_values(a1_shift):
 def test_ugly_index_multiplicity_one_variant():
     sys_ = make_rank1(mult=1)
     lat = make_rank1_lattice(sys_)
-    shift = validate_generic(sys_, lat, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3))
+    shift = validate_generic(sys_, lat, (F(1, 20),), F(3))
     s = sys_.weyl_group().elements[1]
     assert ugly_index((F(1),), s, shift) == 9
 
 
 def test_ugly_positive_on_window(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(3))
     for q in shift.window_points():
         for w in group_a2.system.weyl_group():
             if classify(q, w, shift) is QuiltClass.UGLY:
@@ -138,7 +136,7 @@ def test_filtration_weights_worked_values(a1_shift):
 
 
 def test_filtration_identity_value_small_mode(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(2))
     sys_ = group_a2.system
     expected = sum(
         (sys_.mult[al] * 2 * sys_.pairing(al, shift.a) for al in sys_.positive_roots),
@@ -149,7 +147,7 @@ def test_filtration_identity_value_small_mode(group_a2):
 
 def test_filtration_unique_minimum(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(1))
+        shift = canonical_shift(entry.system, entry.lattice, F(1))
         W = entry.system.weyl_group()
         base = filtration_weight(W.identity, shift)
         for w in W:
@@ -160,7 +158,7 @@ def test_filtration_unique_minimum(catalog):
 def test_filtration_multiset_invariant_under_relabeling(ai_a2):
     """Conjugating the base chamber permutes the weights without changing them."""
     sys_ = ai_a2.system
-    shift = canonical_shift(sys_, ai_a2.lattice, Mode.SMALL_IN_CHAMBER, F(1))
+    shift = canonical_shift(sys_, ai_a2.lattice, F(1))
     W = sys_.weyl_group()
     reference = sorted(filtration_weight(w, shift) for w in W)
     for w0 in W:
@@ -170,9 +168,7 @@ def test_filtration_multiset_invariant_under_relabeling(ai_a2):
         from rootquilt import Lattice
 
         lat = Lattice(relabeled, ai_a2.lattice.basis)
-        moved = validate_generic(
-            relabeled, lat, w0(shift.a), Mode.SMALL_IN_CHAMBER, shift.window_radius
-        )
+        moved = validate_generic(relabeled, lat, w0(shift.a), shift.window_radius)
         values = sorted(filtration_weight(w, moved) for w in relabeled.weyl_group())
         assert values == reference
 
@@ -185,9 +181,7 @@ def test_zero_index_implication_diagonal(a1_shift, group_a1):
 
 
 def test_zero_index_implication_exhaustive_a1(group_a1):
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(4)
-    )
+    shift = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(4))
     md = monotone_data(group_a1.system, F(1, 8))
     W = group_a1.system.weyl_group()
     data = [(q, w) for q in shift.window_points() for w in W]
@@ -197,7 +191,7 @@ def test_zero_index_implication_exhaustive_a1(group_a1):
 
 
 def test_zero_index_implication_exhaustive_ai_a2(ai_a2):
-    shift = canonical_shift(ai_a2.system, ai_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(ai_a2.system, ai_a2.lattice, F(3))
     md = monotone_data(ai_a2.system)
     W = ai_a2.system.weyl_group()
     data = [(q, w) for q in shift.window_points() for w in W]
@@ -211,7 +205,7 @@ def test_implication_table_matches_pairwise_oracle(name, radius):
     entry = get_entry(name)
     report = run_suite(entry, radius=F(radius))
     values = {(r["section"], r["item"]): r["value"] for r in report.rows}
-    shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(radius))
+    shift = canonical_shift(entry.system, entry.lattice, F(radius))
     md = monotone_data(entry.system)
     data = [(q, w) for q in shift.window_points() for w in entry.system.weyl_group()]
     oracle = [zero_index_implication(d_in, d_out, shift, md) for d_in in data for d_out in data]
@@ -284,7 +278,7 @@ def test_morse_index_values(a1_shift):
 
 def test_morse_index_longest_element(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+        shift = canonical_shift(entry.system, entry.lattice, F(0))
         W = entry.system.weyl_group()
         top = entry.system.dim_lambda()
         assert morse_index(W.longest, shift) == top
@@ -293,22 +287,13 @@ def test_morse_index_longest_element(catalog):
             assert morse_index(opposite, shift) == top - morse_index(w, shift)
 
 
-def test_morse_index_mode_mismatch(group_a1):
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.REGULAR_ONLY, F(0)
-    )
-    W = group_a1.system.weyl_group()
-    with pytest.raises(ModeMismatch):
-        morse_index(W.identity, shift)
-
-
 def test_poincare_group_a1(a1_shift):
     assert poincare_polynomial(a1_shift) == [1, 0, 1]
 
 
 def test_poincare_ai_a2(ai_a2):
     """Palindrome and total count, plus an independent inversion census."""
-    shift = canonical_shift(ai_a2.system, ai_a2.lattice, Mode.SMALL_IN_CHAMBER, F(1))
+    shift = canonical_shift(ai_a2.system, ai_a2.lattice, F(1))
     coeffs = poincare_polynomial(shift)
     W = ai_a2.system.weyl_group()
     assert coeffs == coeffs[::-1]
@@ -327,7 +312,7 @@ def test_poincare_ai_a2(ai_a2):
 
 def test_poincare_sum_is_group_order(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+        shift = canonical_shift(entry.system, entry.lattice, F(0))
         coeffs = poincare_polynomial(shift)
         assert sum(coeffs) == entry.system.weyl_group().order
         assert coeffs == coeffs[::-1]
@@ -335,9 +320,7 @@ def test_poincare_sum_is_group_order(catalog):
 
 
 def test_parity_group_case(group_a1):
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
-    )
+    shift = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(3))
     report = parity_report(shift)
     assert report.all_multiplicities_even
     assert report.odd_degrees == 0
@@ -346,7 +329,7 @@ def test_parity_group_case(group_a1):
 
 
 def test_parity_mixed_case(ai_a2):
-    shift = canonical_shift(ai_a2.system, ai_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(ai_a2.system, ai_a2.lattice, F(3))
     report = parity_report(shift)
     assert not report.all_multiplicities_even
     assert report.odd_degrees > 0 and report.even_degrees > 0
@@ -356,13 +339,13 @@ def test_parity_mixed_case(ai_a2):
 
 def test_parity_radius_zero_smoke(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+        shift = canonical_shift(entry.system, entry.lattice, F(0))
         report = parity_report(shift)
         assert report.even_degrees + report.odd_degrees == entry.system.weyl_group().order
 
 
 def test_relative_degree_is_windowwise_even_for_even_mult(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(3))
     for w in group_a2.system.weyl_group():
         for q in shift.window_points():
             assert relative_degree(w, q, shift) % 2 == 0
@@ -379,7 +362,7 @@ def test_group_a2_canonical_hand_oracle(group_a2):
     2*(floor(58/33) - floor(-58/33)) + 2*(floor(140/33) - floor(-140/33))
     = 6 + 18 = 24.
     """
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(3))
     assert shift.a == (F(4, 33), F(4, 33))
     W = group_a2.system.weyl_group()
     s1 = next(w for w in W if w.word == (0,))
@@ -435,10 +418,9 @@ def _assert_lookups_match_oracles(shift):
                 assert quilt_index(datum) == oracles.quilt_index(datum)
     fil = [oracles.filtration_weight(w, shift) for w in group]
     assert [filtration_weight(w, shift) for w in group] == table.filtration == fil
-    if shift.mode is Mode.SMALL_IN_CHAMBER:
-        morse = [oracles.morse_index(w, shift) for w in group]
-        assert [morse_index(w, shift) for w in group] == morse
-        assert poincare_polynomial(shift) == oracles.poincare_polynomial(shift)
+    morse = [oracles.morse_index(w, shift) for w in group]
+    assert [morse_index(w, shift) for w in group] == morse
+    assert poincare_polynomial(shift) == oracles.poincare_polynomial(shift)
     assert parity_report(shift) == oracles.parity_report(shift)
 
 
@@ -446,7 +428,7 @@ def _assert_lookups_match_oracles(shift):
 def test_index_table_matches_oracles(name):
     entry = get_entry(name)
     for r in range(5):
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        shift = canonical_shift(entry.system, entry.lattice, F(r))
         _assert_lookups_match_oracles(shift)
 
 
@@ -454,30 +436,15 @@ def test_index_table_matches_oracles(name):
 def test_index_table_matches_oracles_extra_catalog(name):
     entry = get_entry(name, EXTRA_CATALOG)
     for r in range(5):
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        shift = canonical_shift(entry.system, entry.lattice, F(r))
         _assert_lookups_match_oracles(shift)
 
 
 def test_index_table_matches_oracles_f4(f4_system, f4_lattice):
     # the shortest lattice vectors have norm 2, so r = 0 and r = 1 share the window {0}
-    shift = canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(1))
+    shift = canonical_shift(f4_system, f4_lattice, F(1))
     assert len(shift.window_points()) == 1
     _assert_lookups_match_oracles(shift)
-
-
-def test_index_lookups_match_oracles_in_regular_only_mode(group_a2):
-    # a shift outside the base chamber: the chambers of q + a are not those
-    # of q, and Morse indices are not defined
-    a = (F(-1, 7), F(1, 11))
-    shift = validate_generic(group_a2.system, group_a2.lattice, a, Mode.REGULAR_ONLY, F(3))
-    _assert_lookups_match_oracles(shift)
-    W = group_a2.system.weyl_group()
-    for fn in (morse_index, oracles.morse_index):
-        with pytest.raises(ModeMismatch, match="morse_index requires a small-in-chamber shift"):
-            fn(W.identity, shift)
-    for fn in (poincare_polynomial, oracles.poincare_polynomial):
-        with pytest.raises(ModeMismatch):
-            fn(shift)
 
 
 def test_off_lattice_points_raise_where_the_oracles_compute(a1_shift):
@@ -503,7 +470,7 @@ def test_off_lattice_points_raise_where_the_oracles_compute(a1_shift):
 @pytest.mark.parametrize("name, catalog", [("group-a2", None), ("fi-f4", F4_CATALOG)])
 def test_per_datum_lookups_never_enumerate_the_window(name, catalog):
     entry = get_entry(name, catalog)
-    shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(5))
+    shift = canonical_shift(entry.system, entry.lattice, F(5))
     W = shift.system.weyl_group()
     e, w = W.identity, W.elements[1]
     q = shift.lattice.basis[0]
@@ -521,7 +488,7 @@ def test_per_datum_lookups_never_enumerate_the_window(name, catalog):
 def test_index_table_dies_with_its_shift(group_a2):
     # the window tables hold no reference back to the shift, so dropping it
     # frees the shift and its tables with the cycle collector off
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(2))
     assert shift.perms and shift.degrees
     ref = weakref.ref(shift)
     gc.disable()
@@ -534,7 +501,7 @@ def test_index_table_dies_with_its_shift(group_a2):
 
 def test_shifts_built_alike_have_equal_tables(group_a2):
     shift, twin = (
-        canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+        canonical_shift(group_a2.system, group_a2.lattice, F(2))
         for _ in range(2)
     )
     assert shift is not twin
@@ -550,10 +517,10 @@ def test_index_table_rejects_a_floor_boundary(group_a1):
     system, lattice, a = group_a1.system, group_a1.lattice, (F(1, 4),)
     message = r"^2\*alpha\(q\+a\) = -1 at alpha=\(-1\), q=\(0\)$"
     with pytest.raises(FloorBoundary, match=message):
-        GenericShift(system, lattice, a, Mode.REGULAR_ONLY, 0)
+        GenericShift(system, lattice, a, 0)
     # the message validate_generic gives for the same shift
     with pytest.raises(FloorBoundary, match=message):
-        validate_generic(system, lattice, a, Mode.REGULAR_ONLY, F(0))
+        validate_generic(system, lattice, a, F(0))
     # the oracles raise at the floor term
     shift = SimpleNamespace(system=system, lattice=lattice, a=a, window_radius=F(0))
     e, zero = system.weyl_group().identity, (F(0),)
@@ -561,14 +528,6 @@ def test_index_table_rejects_a_floor_boundary(group_a1):
         oracles.relative_degree(e, zero, shift)
     with pytest.raises(FloorBoundary):
         oracles.quilt_index(QuiltDatum(shift, zero, e, zero))
-
-
-def test_index_table_morse_mode_mismatch(group_a1):
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.REGULAR_ONLY, F(0)
-    )
-    with pytest.raises(ModeMismatch):
-        shift.morse_index(0)
 
 
 # -- the window permutations and filtration weights against w(q) -------------
@@ -589,13 +548,13 @@ def _assert_perms_match_action(shift):
 def test_window_perms_match_weyl_action(name):
     entry = get_entry(name)
     for r in range(4):
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        shift = canonical_shift(entry.system, entry.lattice, F(r))
         _assert_perms_match_action(shift)
 
 
 def test_window_perms_match_weyl_action_f4(f4_system, f4_lattice):
     # r = 1 holds the origin alone (the shortest lattice vectors have norm 2)
-    shift = canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    shift = canonical_shift(f4_system, f4_lattice, F(2))
     assert len(shift.window_points()) == 49
     _assert_perms_match_action(shift)
 
@@ -609,21 +568,19 @@ def _assert_filtration_matches_oracle(shift):
 def test_table_filtration_matches_filtration_weight(name):
     entry = get_entry(name)
     _assert_filtration_matches_oracle(
-        canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+        canonical_shift(entry.system, entry.lattice, F(0))
     )
 
 
 def test_table_filtration_matches_filtration_weight_f4(f4_system, f4_lattice):
     _assert_filtration_matches_oracle(
-        canonical_shift(f4_system, f4_lattice, Mode.SMALL_IN_CHAMBER, F(0))
+        canonical_shift(f4_system, f4_lattice, F(0))
     )
 
 
 def test_window_perms_reject_a_window_that_is_not_weyl_stable(group_a1):
     # the window {0, -1} cut from the worked shift's: s1 sends -1 to 1, outside it
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
-    )
+    shift = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(3))
     shift.points = shift.window_points()[:2]
     with pytest.raises(InvariantViolation, match="s1 moves a window point off the window"):
         shift.perms

@@ -16,7 +16,6 @@ from rootquilt import (
     InvariantViolation,
     Lattice,
     LatticeNotStable,
-    Mode,
     NotInChamber,
     NotRegular,
     NotSmall,
@@ -169,65 +168,72 @@ def test_check_weyl_stable_matches_the_full_group_scan(catalog, group_a2, f4_sys
 
 def test_validate_generic_worked_case(group_a1):
     # 2 alpha(k alpha + alpha/20) = 4k + 1/5, never an integer for |k| <= 2
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
-    )
+    shift = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(3))
     assert shift.window_radius == 3
     assert len(shift.window_points()) == 5
 
 
 def test_validate_generic_zero_not_regular(group_a1):
     with pytest.raises(NotRegular):
-        validate_generic(group_a1.system, group_a1.lattice, (F(0),), Mode.REGULAR_ONLY, F(0))
+        validate_generic(group_a1.system, group_a1.lattice, (F(0),), F(0))
 
 
 def test_validate_generic_floor_boundary(group_a1):
     # 2 alpha(alpha/4) = 1 is an integer already at q = 0
     with pytest.raises(FloorBoundary) as err:
-        validate_generic(group_a1.system, group_a1.lattice, (F(1, 4),), Mode.REGULAR_ONLY, F(0))
+        validate_generic(group_a1.system, group_a1.lattice, (F(1, 4),), F(0))
     assert err.value.point == (F(0),)
 
 
 def test_validate_generic_chamber_and_smallness(group_a1):
     with pytest.raises(NotInChamber):
-        validate_generic(
-            group_a1.system, group_a1.lattice, (F(-1, 20),), Mode.SMALL_IN_CHAMBER, F(0)
-        )
+        validate_generic(group_a1.system, group_a1.lattice, (F(-1, 20),), F(0))
     # 2 alpha(alpha/3) = 4/3: regular, off every floor boundary, but not small
     with pytest.raises(NotSmall):
-        validate_generic(
-            group_a1.system, group_a1.lattice, (F(1, 3),), Mode.SMALL_IN_CHAMBER, F(0)
-        )
+        validate_generic(group_a1.system, group_a1.lattice, (F(1, 3),), F(0))
+
+
+def test_the_constructor_certifies_the_shift(group_a1):
+    # each check of validate_generic, in order, fails in the constructor too
+    cases = [
+        ((F(0),), F(0), NotRegular),
+        ((F(1, 20),), F(-1, 2), ValueError),
+        ((F(1, 4),), F(0), FloorBoundary),
+        ((F(-1, 20),), F(0), NotInChamber),
+        ((F(1, 3),), F(0), NotSmall),
+    ]
+    for a, radius, error in cases:
+        args = (group_a1.system, group_a1.lattice, a, radius)
+        with pytest.raises(error) as want:
+            validate_generic(*args)
+        with pytest.raises(error) as got:
+            GenericShift(*args)
+        assert type(got.value) is type(want.value) is error
+        assert str(got.value) == str(want.value), a
 
 
 def test_validate_generic_monotone_in_radius(group_a1):
-    big = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(4)
-    )
+    big = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(4))
     assert big is not None
     for r in (F(0), F(1), F(2), F(3)):
-        assert validate_generic(
-            group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, r
-        )
+        assert validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), r)
 
 
 def test_canonical_shift_group_a1(group_a1):
     # epsilon scan: 2 alpha(a) = 8 eps must drop below 1/2, first at eps = 1/17
-    shift = canonical_shift(group_a1.system, group_a1.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a1.system, group_a1.lattice, F(3))
     assert shift.a == (F(2, 17),)
 
 
 def test_generator_and_chord_counts(group_a1):
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
-    )
+    shift = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(3))
     assert len(generators(shift)) == 10
     assert len(chords(shift)) == 5
 
 
 def test_radius_zero_counts(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+        shift = canonical_shift(entry.system, entry.lattice, F(0))
         assert len(chords(shift)) == 1
         assert len(generators(shift)) == entry.system.weyl_group().order
 
@@ -242,7 +248,7 @@ def test_f4_generator_count_at_radius_zero(f4_system):
     ]
     lat = Lattice(f4_system, basis)
     lat.check_weyl_stable()
-    shift = canonical_shift(f4_system, lat, Mode.SMALL_IN_CHAMBER, F(0))
+    shift = canonical_shift(f4_system, lat, F(0))
     assert len(generators(shift)) == 1152
 
 
@@ -273,7 +279,7 @@ def test_canonical_shift_all_entries_frozen(catalog):
         "eiv-a2": ((F(16, 129), F(16, 129)),),  # 64 eps < 1/2 -> eps = 1/129
     }
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+        shift = canonical_shift(entry.system, entry.lattice, F(3))
         assert shift.a == expected[entry.name][0], entry.name
 
 
@@ -305,7 +311,7 @@ def _vec(v):
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def _window_validate_generic(system, lattice, a, mode, radius, points=None):
+def _window_validate_generic(system, lattice, a, radius, points=None):
     a = vec(a)
     radius = F(radius)
     walls = [al for al in system.roots if system.pairing(al, a) == 0]
@@ -318,25 +324,24 @@ def _window_validate_generic(system, lattice, a, mode, radius, points=None):
             val = 2 * system.pairing(al, qa)
             if val.denominator == 1:
                 raise FloorBoundary(al, q, f"2*alpha(q+a) = {val} at alpha={_vec(al)}, q={_vec(q)}")
-    if mode is Mode.SMALL_IN_CHAMBER:
-        for beta in system.simple_roots:
-            if system.pairing(beta, a) <= 0:
-                raise NotInChamber(f"shift fails beta={_vec(beta)}")
-        for al in system.roots:
-            if abs(2 * system.pairing(al, a)) >= F(1, 2):
-                raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec(al)}")
-    shift = GenericShift(system, lattice, a, mode, radius)
+    for beta in system.simple_roots:
+        if system.pairing(beta, a) <= 0:
+            raise NotInChamber(f"shift fails beta={_vec(beta)}")
+    for al in system.roots:
+        if abs(2 * system.pairing(al, a)) >= F(1, 2):
+            raise NotSmall(f"|2*alpha(a)| >= 1/2 at alpha={_vec(al)}")
+    shift = GenericShift(system, lattice, a, radius)
     shift.points = points
     return shift
 
 
-def _window_canonical_shift(system, lattice, mode, radius):
+def _window_canonical_shift(system, lattice, radius):
     rho = weighted_root_sum(system)
     points = lattice.points(F(radius))
     for d in range(1, 10_001):
         eps = F(1, 2 * d + 1)
         try:
-            return _window_validate_generic(system, lattice, scale(eps, rho), mode, radius, points)
+            return _window_validate_generic(system, lattice, scale(eps, rho), radius, points)
         except (NotRegular, FloorBoundary, NotInChamber, NotSmall):
             continue
     raise InvariantViolation("no canonical shift found; data is degenerate")
@@ -353,32 +358,30 @@ def _outcome(fn, *args):
             getattr(exc, "walls", None),
             str(exc),
         )
-    return shift.a, shift.mode, shift.window_radius, shift.window_points()
+    return shift.a, shift.window_radius, shift.window_points()
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     name=st.sampled_from(["group-a1", "group-a2", "ai-a2"]),
     coords=st.lists(st.fractions(-1, 1, max_denominator=12), min_size=2, max_size=2),
-    mode=st.sampled_from(list(Mode)),
     radius=st.integers(0, 3),
 )
-def test_validate_generic_matches_the_window_scan(catalog, name, coords, mode, radius):
+def test_validate_generic_matches_the_window_scan(catalog, name, coords, radius):
     entry = next(e for e in catalog if e.name == name)
     a = tuple(coords[: entry.rank])
-    args = (entry.system, entry.lattice, a, mode, F(radius))
+    args = (entry.system, entry.lattice, a, F(radius))
     assert _outcome(validate_generic, *args) == _outcome(_window_validate_generic, *args)
 
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_canonical_shift_matches_the_window_scan(name):
     entry = get_entry(name)
-    for mode in Mode:
-        for r in range(7):
-            got = canonical_shift(entry.system, entry.lattice, mode, F(r))
-            want = _window_canonical_shift(entry.system, entry.lattice, mode, F(r))
-            assert got.a == want.a, (mode, r)
-            assert got.window_points() == want.window_points()
+    for r in range(7):
+        got = canonical_shift(entry.system, entry.lattice, F(r))
+        want = _window_canonical_shift(entry.system, entry.lattice, F(r))
+        assert got.a == want.a, r
+        assert got.window_points() == want.window_points()
 
 
 # -- the Fraction box sweep the integer window sweep replaces, kept verbatim --
@@ -474,13 +477,12 @@ def _no_window(self, radius, cap=DEFAULT_POINT_CAP):
 def test_certification_enumerates_no_window(catalog, monkeypatch):
     monkeypatch.setattr(Lattice, "points", _no_window)
     for entry in catalog:
-        for mode in Mode:
-            shift = canonical_shift(entry.system, entry.lattice, mode, F(400_000))
-            assert validate_generic(entry.system, entry.lattice, shift.a, mode, F(400_000)) == shift
+        shift = canonical_shift(entry.system, entry.lattice, F(400_000))
+        assert validate_generic(entry.system, entry.lattice, shift.a, F(400_000)) == shift
     group_a1 = get_entry("group-a1")
     for a in ((F(0),), (F(1, 4),), (F(-1, 20),), (F(1, 3),)):
         with pytest.raises((NotRegular, FloorBoundary, NotInChamber, NotSmall)):
-            validate_generic(group_a1.system, group_a1.lattice, a, Mode.SMALL_IN_CHAMBER, F(3))
+            validate_generic(group_a1.system, group_a1.lattice, a, F(3))
     with pytest.raises(ValueError, match="radius must be non-negative"):
         validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), radius=F(-1, 2))
 
@@ -490,12 +492,12 @@ def test_certification_enumerates_no_window(catalog, monkeypatch):
 F4_CATALOG = str(Path(__file__).resolve().parent.parent / "bench" / "data" / "f4.json")
 
 
-def _scan_outcome(fn, system, lattice, mode, radius):
+def _scan_outcome(fn, system, lattice, radius):
     try:
-        shift = fn(system, lattice, mode, radius)
+        shift = fn(system, lattice, radius)
     except RootQuiltError as exc:
         return type(exc), str(exc)
-    return shift.a, shift.mode, shift.window_radius
+    return shift.a, shift.window_radius
 
 
 def _three_quarter_a1(mult):
@@ -517,8 +519,7 @@ def test_canonical_shift_matches_the_fraction_scan(source):
         cases = [(entry.system, entry.lattice) for entry in load_catalog(SCAN_CATALOGS[source])]
     assert cases
     for system, lattice in cases:
-        for mode in Mode:
-            for r in range(5):
-                want = _scan_outcome(oracles.canonical_shift, system, lattice, mode, F(r))
-                got = _scan_outcome(canonical_shift, system, lattice, mode, F(r))
-                assert got == want, (system.name, mode, r)
+        for r in range(5):
+            want = _scan_outcome(oracles.canonical_shift, system, lattice, F(r))
+            got = _scan_outcome(canonical_shift, system, lattice, F(r))
+            assert got == want, (system.name, r)

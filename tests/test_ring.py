@@ -9,7 +9,6 @@ import pytest
 import oracles
 from rootquilt import (
     Generator,
-    Mode,
     QuiltClass,
     WindowTooSmall,
     classify,
@@ -89,7 +88,7 @@ def test_leading_term_examples(a1_shift):
 
 
 def test_leading_term_agrees_with_classification(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(3))
     W = group_a2.system.weyl_group()
     base = filtration_weight(W.identity, shift)
     for q in shift.window_points():
@@ -101,9 +100,7 @@ def test_leading_term_agrees_with_classification(group_a2):
 
 
 def test_triangularity_radius_zero_advisory(group_a1):
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(0)
-    )
+    shift = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(0))
     cert = triangularity_certificate(shift)
     W = group_a1.system.weyl_group()
     assert not cert.complete
@@ -133,7 +130,7 @@ def test_triangularity_full_window_a1(a1_shift):
 
 def test_triangularity_all_entries_radius_three(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+        shift = canonical_shift(entry.system, entry.lattice, F(3))
         cert = triangularity_certificate(shift)
         assert cert.complete, entry.name
         count = entry.system.weyl_group().order * len(shift.window_points())
@@ -156,7 +153,7 @@ def test_witness_set_a1(a1_shift):
 
 def test_witness_size_bound(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+        shift = canonical_shift(entry.system, entry.lattice, F(3))
         fg = finitely_generated_witness(shift)
         bound = 2 * entry.rank + entry.system.weyl_group().order
         assert len(fg.generators) <= bound
@@ -165,7 +162,7 @@ def test_witness_size_bound(catalog):
 
 def test_witness_from_a_given_certificate(catalog):
     for entry in catalog:
-        shift = canonical_shift(entry.system, entry.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+        shift = canonical_shift(entry.system, entry.lattice, F(3))
         own = finitely_generated_witness(shift)
         given = finitely_generated_witness(shift, triangularity_certificate(shift))
         assert given.generators == own.generators
@@ -189,12 +186,12 @@ def test_witness_closure_idempotent(a1_shift):
 
 
 def test_chamber_witnesses_cover_when_window_grows(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(3))
     witnesses = oracles.chamber_witnesses(shift)
     assert set(witnesses) == set(group_a2.system.weyl_group())
     assert triangularity_certificate(shift).chamber_witness == witnesses
     for r in range(3):
-        small = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(r))
+        small = canonical_shift(group_a2.system, group_a2.lattice, F(r))
         cert = triangularity_certificate(small)
         assert cert.chamber_witness == oracles.chamber_witnesses(small)
         assert set(cert.uncovered) == set(group_a2.system.weyl_group()) - set(cert.chamber_witness)
@@ -202,7 +199,7 @@ def test_chamber_witnesses_cover_when_window_grows(group_a2):
 
 def _corrupted_shift(group_a2):
     """A fresh shift whose window permutation of s1 swaps two images."""
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(2))
     perm = list(shift.perms[1])
     perm[0], perm[1] = perm[1], perm[0]
     shift.perms[1] = tuple(perm)
@@ -220,7 +217,7 @@ def test_corrupted_window_permutation_fails_factorization(group_a2):
 
 
 def test_certificates_leave_the_fraction_oracles_alone(group_a2, monkeypatch):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(3))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(3))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the certificates read the shift's tables")

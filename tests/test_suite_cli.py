@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from rootquilt import Lattice, Mode, canonical_shift, get_entry, suite
+from rootquilt import Lattice, canonical_shift, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
 from rootquilt.cli import _join_negative_values, build_parser, main
 from rootquilt.lattice import DEFAULT_POINT_CAP
@@ -91,7 +91,7 @@ def test_bad_ugly_failure_names_first_failing_datum():
 
 
 def test_bad_ugly_pass_detail_is_the_class_counts(group_a1):
-    shift = canonical_shift(group_a1.system, group_a1.lattice, Mode.SMALL_IN_CHAMBER, F(0))
+    shift = canonical_shift(group_a1.system, group_a1.lattice, F(0))
     check = _bad_ugly_report(shift, shift.window_points()).checks[0]
     assert (check.status, check.detail) == ("pass", "1 bad (index 0), 1 ugly (index > 0)")
 

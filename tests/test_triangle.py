@@ -15,7 +15,6 @@ import pytest
 import oracles
 from rootquilt import (
     Degenerate,
-    Mode,
     QuadratureNotConverged,
     QuiltClass,
     build_triple,
@@ -42,9 +41,7 @@ from rootquilt.triangle import (
 
 @pytest.fixture(scope="module")
 def a1_data(group_a1):
-    shift = validate_generic(
-        group_a1.system, group_a1.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
-    )
+    shift = validate_generic(group_a1.system, group_a1.lattice, (F(1, 20),), F(3))
     md = monotone_data(group_a1.system, F(1, 8))
     return group_a1, shift, md
 
@@ -73,7 +70,7 @@ def test_build_triple_intersections_closed_form(a1_data):
 
 
 def test_build_triple_rank_two(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(2))
     md = monotone_data(group_a2.system)
     W = group_a2.system.weyl_group()
     for q in shift.window_points()[:4]:
@@ -87,9 +84,7 @@ def test_build_triple_rank_two(group_a2):
 def test_build_triple_degenerate(a1_data):
     entry, _, _ = a1_data
     # pick tau so that X0 equals q + a exactly: 4 tau = 21/20
-    shift = validate_generic(
-        entry.system, entry.lattice, (F(1, 20),), Mode.SMALL_IN_CHAMBER, F(3)
-    )
+    shift = validate_generic(entry.system, entry.lattice, (F(1, 20),), F(3))
     md = monotone_data(entry.system, F(21, 80))
     with pytest.raises(Degenerate):
         build_triple((F(1),), entry.system.weyl_group().identity, shift, md)
@@ -119,7 +114,7 @@ def test_plane_points_affinely_independent(a1_data):
 
 
 def test_bad_iff_momentum_segment_in_chamber(group_a2):
-    shift = canonical_shift(group_a2.system, group_a2.lattice, Mode.SMALL_IN_CHAMBER, F(2))
+    shift = canonical_shift(group_a2.system, group_a2.lattice, F(2))
     md = monotone_data(group_a2.system)
     sys_ = group_a2.system
     for q in shift.window_points():
