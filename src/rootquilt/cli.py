@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import get_entry, load_catalog
-from .errors import RootQuiltError
+from .errors import RootQuiltError, UnknownRoot
 from .indices import QuiltDatum, classify, monotone_data, quilt_index
 from .linalg import format_rational, format_vec, parse_rational
 from .ring import Generator, star_unit_sector, triangularity_certificate
@@ -190,7 +190,12 @@ def cmd_verify(args) -> int:
         q_text, colon, w_text = spec_text.partition(":")
         if not colon:
             raise RootQuiltError(f"invalid --triangle {spec_text!r}; use Q:W, such as 1:1")
-        triangle_data.append((_parse_coords(entry, q_text), _parse_word(w_text)))
+        q_coords, word = _parse_coords(entry, q_text), _parse_word(w_text)
+        try:
+            entry.system.weyl_group().from_word(word)
+        except UnknownRoot as exc:
+            raise RootQuiltError(f"invalid --triangle {spec_text!r}: {exc}") from None
+        triangle_data.append((q_coords, word))
     report = run_suite(
         entry,
         tau=params["tau"],

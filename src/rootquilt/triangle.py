@@ -8,7 +8,7 @@ Gram matrix (rank r, isotropic, annihilated by the rows, pairwise
 transverse).  With qa = q + a, x = w X0 and d = qa - x the intersections
 are p12 = (0, qa), p23 = (d, x) and p13 = (0, x), and the plane
 p13 + x (d, 0) + y (0, d) takes the boundary conditions to the lines
-x = 0, x + y = 1, y = 0.  Per (q, w) only integer substitutions remain.
+x = 0, x + y = 1, y = 0.  Per (q, w) only exact substitutions remain.
 
 The numerical half solves the resulting boundary problem on the unit disk:
 the map onto the triangle {0 <= x, y, x + y <= 1} with fixed prevertices
@@ -16,19 +16,19 @@ the map onto the triangle {0 <= x, y, x + y <= 1} with fixed prevertices
 reverses orientation (the problem is posed for minus the standard complex
 structure), so the solution is conjugate-conformal: a single
 Schwarz-Christoffel integral evaluated at the conjugated disk variable.
-Three prevertices leave no accessory parameters; a Gauss-Jacobi rule for
-the weight (1 - x)^alpha absorbs the endpoint singularities.  Its nodes are
-the roots of the Jacobi polynomial P_n^(alpha, 0), found by Halley's method
-from closed-form guesses in three passes of the three-term recurrence for
-P_n and P_n', with P_n'' read off the Jacobi differential equation, so the
-rule needs numpy alone.  Other points z are integrated along the
-path t z, cut at t = 1 - 2^-j for j = 1, ..., max(1, ceil(log2(2 / d)))
-with d the distance from z to the nearest prevertex, with the alpha = 0
-case of the same builder, the Gauss-Legendre rule, on each panel.  Every
-panel then lies at least its own length from every singularity, so the
-integrand is analytic inside the Bernstein ellipse rho = 2 + sqrt(5) of
-each panel and an m-point panel errs by O(rho^(-2m)).  There the
-integrand is evaluated with square roots alone: every exponent is a
+Three prevertices leave no accessory parameters.  A Gauss-Jacobi rule for
+the weight (1 - x)^alpha, whose nodes are the roots of P_n^(alpha, 0) found
+by Halley's method from closed-form guesses in three passes of the
+three-term recurrence for P_n and P_n' (P_n'' comes from the Jacobi
+equation), absorbs each prevertex's singularity with numpy alone.  A point
+z at distance d > 0 from its nearest prevertex z_k takes the integral I_k
+from 0 to z_k plus the integral along the segment z_k + (z - z_k) s, one
+rule each; I_k is that segment integral from z_k to 0.  As d <= sqrt(2) in
+the closed disk, every other prevertex lies at least as far from z_k as z
+does and at least as far from z as z_k does, so the smooth part of the
+integrand is analytic inside the Bernstein ellipse rho = 2 + sqrt(3) and an
+m-point rule errs by O(rho^(-2m)), about 5e-19 at m = 16, however close z
+is to z_k.  The integrand takes square roots alone: every exponent is a
 multiple of 1/4, and inside the disk every factor has argument in
 (-pi/2, pi/2), so the principal roots of the products equal the principal
 powers.  Floating point is confined to this half; exact rationals are
@@ -58,7 +58,7 @@ finally:
 from .errors import Degenerate, InvariantViolation, QuadratureNotConverged
 from .indices import MonotoneData
 from .lattice import GenericShift
-from .linalg import Mat, Vec, add, gram_pair, matrix_rank, sub, zero_vec
+from .linalg import Mat, Vec, add, dot, gram_pair, matrix_rank, sub, zero_vec
 from .roots import RestrictedRootSystem, WeylElement
 
 # -- exact affine geometry -------------------------------------------------
@@ -74,9 +74,8 @@ class AffineSubspace:
     eq_rhs: Vec
 
     def contains(self, p: Vec) -> bool:
-        """Substitution into the normal equations, scaled to integers."""
-        pt, rhs = _integral(p, self.eq_rhs)
-        return all(_dot(row, pt) == c for row, c in zip(self.eq_rows, rhs))
+        """Exact substitution into the normal equations."""
+        return all(dot(row, p) == c for row, c in zip(self.eq_rows, self.eq_rhs))
 
 
 def _integral(*vecs: Vec) -> tuple[tuple[int, ...], ...]:
@@ -228,23 +227,20 @@ _INT_EXPONENTS = (0.75, 0.5, 0.75)
 _INT_TARGETS = (1.0j, 0.0 + 0.0j, 1.0 + 0.0j)
 
 
-def _sc_derivative(zeta: np.ndarray) -> np.ndarray:
-    """(1 - zeta)^(-3/4) (1 + i zeta)^(-1/2) (1 - i zeta)^(-3/4) inside the disk.
+def _sc_derivative(u1: np.ndarray, ui: np.ndarray, umi: np.ndarray) -> np.ndarray:
+    """u1^(-3/4) ui^(-1/2) umi^(-3/4) for the factors u_j = 1 - zeta / z_j.
 
-    With P = (1 - zeta)(1 - i zeta), Q = 1 + i zeta and s = sqrt(P), this is
-    1 / (s sqrt(s Q)), which needs square roots only.
+    With P = u1 umi, Q = ui and s = sqrt(P), this is 1 / (s sqrt(s Q)),
+    which needs square roots only.
     """
-    # For |zeta| < 1 each factor has argument in (-pi/2, pi/2), so arg P and
+    # Inside the disk each factor has argument in (-pi/2, pi/2), so arg P and
     # arg(s Q) lie in (-pi, pi) and each principal root is the principal power.
-    iz = 1j * zeta
-    s = 1.0 - zeta
-    s *= 1.0 - iz
+    s = u1 * umi
     np.sqrt(s, out=s)
-    iz += 1.0
-    iz *= s
-    np.sqrt(iz, out=iz)
-    iz *= s
-    return np.divide(1.0, iz, out=iz)
+    sq = s * ui
+    np.sqrt(sq, out=sq)
+    sq *= s
+    return np.divide(1.0, sq, out=sq)
 
 
 # Halley from the closed-form guesses moves less than 1e-15 by its third step (its fourth
@@ -329,22 +325,38 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, w
 
 
-def _corner_integral(k: int, nodes: int) -> complex:
-    """Integral of the map derivative from the origin to prevertex k."""
-    zk = PREVERTICES[k]
-    bk = _INT_EXPONENTS[k]
-    x, wts = _gauss_jacobi(nodes, -bk)
-    t = (1.0 + x) / 2.0
-    g = np.ones_like(t, dtype=complex)
-    for j, (zj, bj) in enumerate(zip(PREVERTICES, _INT_EXPONENTS)):
-        if j != k:
-            g = g * np.exp(-bj * np.log(1.0 - (zk / zj) * t))
-    return zk * 2.0 ** (bk - 1.0) * np.sum(wts * g)
+# Complex values per (points x nodes) evaluation block, so the temporaries
+# of a batched segment integral stay small.
+_BLOCK_VALUES = 8192
 
 
-# Complex values per (points x panels x nodes) evaluation block, so the
-# temporaries of a batched path integral stay small.
-_BLOCK_VALUES = 2048
+def _segment_integrals(k: int, zs: np.ndarray, nodes: int) -> np.ndarray:
+    """Integrals of the map derivative along the segments from prevertex k to each point.
+
+    The segment to z is zeta = z_k + (z - z_k) s for s in [0, 1], and one
+    Gauss-Jacobi rule for the weight (1 - x)^(-b_k), with s = (1 - x) / 2,
+    absorbs the singularity at s = 0.  There the factor 1 - zeta / z_k is
+    taken as ((z_k - z) / z_k) s, never by cancellation.  The kernel values
+    carry s^(-b_k), so the weights 2^(b_k - 1) w_i s_i^(b_k) take it back
+    out.  Points are evaluated one (points x nodes) block at a time.
+    """
+    zk, bk = PREVERTICES[k], _INT_EXPONENTS[k]
+    x, w = _gauss_jacobi(nodes, -bk)
+    s = (1.0 - x) / 2.0
+    wts = 2.0 ** (bk - 1.0) * w * s**bk
+    out = np.empty(zs.shape, dtype=complex)
+    step = max(1, _BLOCK_VALUES // nodes)
+    for lo in range(0, len(zs), step):
+        z = zs[lo : lo + step]
+        # u_j = 1 - zeta / z_j = (1 - z_k / z_j) + ((z_k - z) / z_j) s, exactly c s at j = k
+        u = [np.multiply.outer((zk - z) / zj, s) for zj in PREVERTICES]
+        for j, zj in enumerate(PREVERTICES):
+            if j != k:
+                u[j] += 1.0 - zk / zj
+        vals = _sc_derivative(*u)
+        vals *= wts
+        out[lo : lo + step] = (z - zk) * vals.sum(axis=1)
+    return out
 
 
 class TriangleMapSolution:
@@ -354,7 +366,8 @@ class TriangleMapSolution:
         if nodes < 16:
             raise ValueError("at least 16 quadrature nodes are required")
         self.nodes = nodes
-        self._corner_integrals = tuple(_corner_integral(k, nodes) for k in range(3))
+        # I_k, the integral from 0 to z_k, is minus the segment integral from z_k to 0
+        self._corner_integrals = tuple(-_segment_integrals(k, np.zeros(1), nodes)[0] for k in range(3))
         i1, i2, i3 = self._corner_integrals
         t1, t2, t3 = _INT_TARGETS
         # Normalize on the two acute corners; the right-angle corner is the
@@ -365,50 +378,30 @@ class TriangleMapSolution:
         self.side_ratio_residual = abs(abs(i3 - i1) / abs(i2 - i1) - math.sqrt(2.0))
         if self.corner_residual > tol:
             raise QuadratureNotConverged(self.corner_residual, tol)
-        self._gl_per_panel = max(12, nodes // 16)
-        self._gl_nodes, self._gl_weights = _gauss_jacobi(self._gl_per_panel, 0.0)
+        self._segment_nodes = max(16, nodes // 16)
 
     # -- evaluation ----------------------------------------------------
 
     def _path_integrals(self, zs: np.ndarray) -> np.ndarray:
-        """Integrals of the derivative along the straight paths from 0 to each point.
+        """Integrals of the derivative from the origin to each point, via its nearest prevertex.
 
-        The path from 0 to z is t z for t in [0, 1], cut at 1 - 2^-j for
-        j = 1, ..., L with L = max(1, ceil(log2(2 / d))), where d is the
-        distance from z to the nearest prevertex.  Every singularity
-        t* = z_k / z of the integrand has |t*| >= 1 and |t* - 1| >= d, and
-        the last panel is at most d / 2 long, so every panel lies at least
-        its own length from every singularity.  Scaled to [-1, 1], the
-        integrand is then analytic inside the Bernstein ellipse
-        rho = 2 + sqrt(5), and an m-point Gauss-Legendre panel errs by
-        O(rho^(-2m)): about 1e-20 at 16 points and 8e-16 at 12.  Within
-        about 1e-9 of a prevertex the rounding of z t near t = 1 dominates
-        instead (about 1e-11 at d = 3e-10).  Points with the same panel
-        count are evaluated together, one (points x panels * nodes) block at
-        a time, against weights that carry each panel's half-length.  The
-        origin and the prevertices themselves take their exact values.
+        A point z with nearest prevertex z_k at distance d > 0 takes
+        I_k + (integral from z_k to z), along the segment with one m-point
+        rule, m = max(16, nodes // 16).  In the closed disk d <= sqrt(2), so
+        every other prevertex sits at s_j = (z_j - z_k) / (z - z_k) with
+        |s_j| >= 1 and |s_j - 1| >= 1; the smooth part of the integrand is
+        then analytic inside the Bernstein ellipse rho = 2 + sqrt(3), and the
+        rule errs by O(rho^(-2m)), about 5e-19 at m = 16.  Only the
+        prevertices themselves (d == 0) take I_k.
         """
-        out = np.zeros(zs.shape, dtype=complex)
         gaps = np.abs(zs[:, None] - np.array(PREVERTICES)[None, :])
+        nearest = gaps.argmin(axis=1)
+        out = np.empty(zs.shape, dtype=complex)
         for k, corner_integral in enumerate(self._corner_integrals):
-            out[gaps[:, k] < 1e-14] = corner_integral
-        dist = gaps.min(axis=1)
-        live = (zs != 0) & (dist >= 1e-14)
-        levels = np.ones(zs.shape, dtype=int)
-        levels[live] = np.maximum(1, np.ceil(np.log2(2.0 / dist[live])))
-        for level in sorted(set(levels[live].tolist())):
-            breaks = np.array([0.0] + [1.0 - 0.5**j for j in range(1, level + 1)] + [1.0])
-            half = (breaks[1:] - breaks[:-1]) / 2.0
-            mid = (breaks[1:] + breaks[:-1]) / 2.0
-            t = (mid[:, None] + half[:, None] * self._gl_nodes).ravel()
-            wts = (half[:, None] * self._gl_weights).ravel()
-            idx = np.flatnonzero(live & (levels == level))
-            step = max(1, _BLOCK_VALUES // t.size)
-            for chunk in np.split(idx, range(step, len(idx), step)):
-                z = zs[chunk]
-                vals = _sc_derivative(np.multiply.outer(z, t))
-                vals *= wts
-                out[chunk] = z * vals.sum(axis=1)
+            at = nearest == k
+            out[at] = corner_integral
+            idx = np.flatnonzero(at & (gaps[:, k] > 0))
+            out[idx] += _segment_integrals(k, zs[idx], self._segment_nodes)
         return out
 
     def map_points(self, zs) -> np.ndarray:

@@ -3,13 +3,18 @@
 ``build_triple`` and ``plane_model`` below are the triangle model's exact
 half as it was before the closed forms: every subspace certified per call
 and every intersection found by elimination.  ``jacobi_pair`` is the Jacobi
-recurrence as it was before it ran in place, ``segment_breaks`` the panel
-grading of the triangle map's path integrals before it followed the
-Gauss-Legendre error bound, ``mobius_through`` the Mobius coefficients by a
-LAPACK inverse, as they were before the closed-form adjugate,
-``leading_minors_positive`` the Sylvester test as it was before it ran in
-one elimination, with ``det`` per leading minor, and ``canonical_shift`` the
-epsilon scan as it was before it ran in integers.  ``newton_gauss_jacobi``
+recurrence as it was before it ran in place, ``GradedTriangleMap`` the
+triangle map as it was integrated before each point started from its
+nearest prevertex (from the origin, over Gauss-Legendre panels graded
+toward the end of the path, with ``corner_integral``'s exp/log products at
+the corners and ``sc_derivative``'s kernel of the disk variable),
+``segment_breaks`` the dyadic panel grading before those panels followed
+the Gauss-Legendre error bound,
+``mobius_through`` the Mobius coefficients by a LAPACK inverse, as they
+were before the closed-form adjugate, ``leading_minors_positive`` the
+Sylvester test as it was before it ran in one elimination, with ``det`` per
+leading minor, and ``canonical_shift`` the epsilon scan as it was before it
+ran in integers.  ``newton_gauss_jacobi``
 is the Gauss-Jacobi rule as it was built before Halley steps: Newton steps
 until every step is below 1e-15, then one more recurrence pass for the
 weights.
@@ -80,11 +85,15 @@ from rootquilt.ring import LeadingTerm
 from rootquilt.roots import RestrictedRootSystem, WeylElement, WeylGroup
 from rootquilt.suite import Report
 from rootquilt.triangle import (
+    _INT_EXPONENTS,
+    _INT_TARGETS,
     _NEWTON_STEPS,
     _NEWTON_TOL,
+    PREVERTICES,
     AffineLagrangianTriple,
     AffineSubspace,
     PlaneModel,
+    _gauss_jacobi,
     _jacobi_pair,
     _sympl,
 )
@@ -294,6 +303,90 @@ def segment_breaks(dist: float) -> np.ndarray:
         levels = min(52, 4 + int(math.ceil(math.log2(2.0 / max(dist, 1e-15)))))
     pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
     return np.array(pts)
+
+
+def sc_derivative(zeta: np.ndarray) -> np.ndarray:
+    """(1 - zeta)^(-3/4) (1 + i zeta)^(-1/2) (1 - i zeta)^(-3/4) inside the disk.
+
+    With P = (1 - zeta)(1 - i zeta), Q = 1 + i zeta and s = sqrt(P), this is
+    1 / (s sqrt(s Q)), which needs square roots only.
+    """
+    # For |zeta| < 1 each factor has argument in (-pi/2, pi/2), so arg P and
+    # arg(s Q) lie in (-pi, pi) and each principal root is the principal power.
+    iz = 1j * zeta
+    s = 1.0 - zeta
+    s *= 1.0 - iz
+    np.sqrt(s, out=s)
+    iz += 1.0
+    iz *= s
+    np.sqrt(iz, out=iz)
+    iz *= s
+    return np.divide(1.0, iz, out=iz)
+
+
+def corner_integral(k: int, nodes: int) -> complex:
+    """Integral of the map derivative from the origin to prevertex k."""
+    zk = PREVERTICES[k]
+    bk = _INT_EXPONENTS[k]
+    x, wts = _gauss_jacobi(nodes, -bk)
+    t = (1.0 + x) / 2.0
+    g = np.ones_like(t, dtype=complex)
+    for j, (zj, bj) in enumerate(zip(PREVERTICES, _INT_EXPONENTS)):
+        if j != k:
+            g = g * np.exp(-bj * np.log(1.0 - (zk / zj) * t))
+    return zk * 2.0 ** (bk - 1.0) * np.sum(wts * g)
+
+
+class GradedTriangleMap:
+    """The triangle map integrated from the origin over graded panels.
+
+    The corners are ``corner_integral``'s exp/log products, and every other
+    point is reached along t z over Gauss-Legendre panels cut at
+    t = 1 - 2^-j for j = 1, ..., max(1, ceil(log2(2 / d))), with d the
+    distance to the nearest prevertex; points within 1e-14 of a prevertex
+    take its corner value.
+    """
+
+    _BLOCK_VALUES = 2048
+
+    def __init__(self, nodes: int):
+        self._corner_integrals = tuple(corner_integral(k, nodes) for k in range(3))
+        i1, _, i3 = self._corner_integrals
+        t1, _, t3 = _INT_TARGETS
+        self.scale = (t3 - t1) / (i3 - i1)
+        self.offset = t1 - self.scale * i1
+        self._gl_per_panel = max(12, nodes // 16)
+        self._gl_nodes, self._gl_weights = _gauss_jacobi(self._gl_per_panel, 0.0)
+
+    def _path_integrals(self, zs: np.ndarray) -> np.ndarray:
+        out = np.zeros(zs.shape, dtype=complex)
+        gaps = np.abs(zs[:, None] - np.array(PREVERTICES)[None, :])
+        for k, integral in enumerate(self._corner_integrals):
+            out[gaps[:, k] < 1e-14] = integral
+        dist = gaps.min(axis=1)
+        live = (zs != 0) & (dist >= 1e-14)
+        levels = np.ones(zs.shape, dtype=int)
+        levels[live] = np.maximum(1, np.ceil(np.log2(2.0 / dist[live])))
+        for level in sorted(set(levels[live].tolist())):
+            breaks = np.array([0.0] + [1.0 - 0.5**j for j in range(1, level + 1)] + [1.0])
+            half = (breaks[1:] - breaks[:-1]) / 2.0
+            mid = (breaks[1:] + breaks[:-1]) / 2.0
+            t = (mid[:, None] + half[:, None] * self._gl_nodes).ravel()
+            wts = (half[:, None] * self._gl_weights).ravel()
+            idx = np.flatnonzero(live & (levels == level))
+            step = max(1, self._BLOCK_VALUES // t.size)
+            for chunk in np.split(idx, range(step, len(idx), step)):
+                z = zs[chunk]
+                vals = sc_derivative(np.multiply.outer(z, t))
+                vals *= wts
+                out[chunk] = z * vals.sum(axis=1)
+        return out
+
+    def map_points(self, zs) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
+        flat = zs.ravel()
+        images = self.offset + self.scale * self._path_integrals(np.conj(flat))
+        return images.reshape(zs.shape)
 
 
 def mobius_through(src: tuple[complex, complex, complex], dst: tuple[complex, complex, complex]):

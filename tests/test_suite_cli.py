@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from rootquilt import Lattice, canonical_shift, get_entry, suite
+from rootquilt import Lattice, canonical_shift, cli, get_entry, suite
 from rootquilt.catalog import CATALOG_SCHEMA_ID
 from rootquilt.cli import _join_negative_values, build_parser, main
 from rootquilt.lattice import DEFAULT_POINT_CAP
@@ -264,6 +264,21 @@ def test_cli_rejects_malformed_input(argv, message, capsys):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_bad_triangle_word_fails_before_the_suite_runs(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("run_suite entered")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    argv = ["verify", "--catalog", str(REPO / "bench" / "data" / "f4.json"), "--pair", "fi-f4",
+            "--radius", "3", "--triangle=0,0,0,0:5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: invalid --triangle '0,0,0,0:5': no simple reflection s5; letters run 1..4\n"
+    )
 
 
 def test_cli_unknown_pair_fails():

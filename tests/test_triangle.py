@@ -1,5 +1,6 @@
 """Affine triple construction, plane reduction, and the conformal solve."""
 
+import cmath
 import json
 import math
 import os
@@ -245,45 +246,48 @@ def test_sc_derivative_matches_log_exp_product():
     zs = _kernel_points()
     assert len(zs) >= 100_000 and np.all(np.abs(zs) < 1.0)
     expected = _log_exp_sc_derivative(zs)
-    got = _sc_derivative(zs)
+    got = _sc_derivative(*(1.0 - zs / zk for zk in _INT_PREVERTICES))
     assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-14
 
 
-# -- batched evaluation against the scalar path it replaced ----------------
+# -- the map from the nearest prevertex against the graded path it replaced --
 
 
 def _segment_breaks(dist: float) -> np.ndarray:
     """Panel breaks 1 - 2^-j, j = 1..L, of [0, 1] toward t = 1, with
     L = max(1, ceil(log2(2 / dist))) for the distance between the path
-    endpoint and the nearest prevertex, as in ``_path_integrals``."""
+    endpoint and the nearest prevertex, as in
+    ``oracles.GradedTriangleMap``."""
     levels = max(1, math.ceil(math.log2(2.0 / dist)))
     pts = [0.0] + [1.0 - 0.5**j for j in range(1, levels + 1)] + [1.0]
     return np.array(pts)
 
 
 def _scalar_path_integral(
-    self, z: complex, breaks_of=_segment_breaks, kernel=_log_exp_sc_derivative
+    graded, z: complex, breaks_of=_segment_breaks, kernel=_log_exp_sc_derivative
 ) -> complex:
-    """Integral of the derivative along the straight path from 0 to z."""
+    """Integral of the derivative along the straight path from 0 to z, one
+    point at a time, with the corner integrals and the panel rule of the
+    ``oracles.GradedTriangleMap`` ``graded``."""
     if z == 0:
         return 0.0 + 0.0j
     dist = min(abs(z - zk) for zk in PREVERTICES)
     for k, zk in enumerate(PREVERTICES):
         if abs(z - zk) < 1e-14:
-            return self._corner_integrals[k]
+            return graded._corner_integrals[k]
     breaks = breaks_of(dist)
     t0 = breaks[:-1]
     t1 = breaks[1:]
     half = (t1 - t0) / 2.0
     mid = (t1 + t0) / 2.0
-    t = (mid[:, None] + half[:, None] * self._gl_nodes[None, :]).ravel()
+    t = (mid[:, None] + half[:, None] * graded._gl_nodes[None, :]).ravel()
     vals = kernel(z * t).reshape(len(t0), -1)
-    per_panel = half * np.sum(vals * self._gl_weights[None, :], axis=1)
+    per_panel = half * np.sum(vals * graded._gl_weights[None, :], axis=1)
     return z * np.sum(per_panel)
 
 
-def _scalar_map_point(sol, z: complex) -> complex:
-    return sol.offset + sol.scale * _scalar_path_integral(sol, np.conj(z))
+def _scalar_map_point(graded, z: complex, **path) -> complex:
+    return graded.offset + graded.scale * _scalar_path_integral(graded, np.conj(z), **path)
 
 
 def _differential_points() -> np.ndarray:
@@ -294,59 +298,144 @@ def _differential_points() -> np.ndarray:
     return np.concatenate([interior_samples(200), boundary, [0j], PREVERTICES, near])
 
 
-@pytest.mark.parametrize("nodes", [64, 256])
-def test_map_points_matches_scalar_path(nodes):
-    sol = solve_triangle(nodes)
-    zs = _differential_points()
-    batched = sol.map_points(zs)
-    scalar = np.array([_scalar_map_point(sol, z) for z in zs])
-    assert batched.shape == zs.shape
-    assert np.max(np.abs(batched - scalar)) <= 1e-14
-    assert oracles.map_point(sol, zs[0]) == batched[0]
-
-
-@pytest.mark.parametrize("nodes", [64, 256])
-def test_graded_panels_match_the_dyadic_panels(nodes):
-    """The grading by the Gauss-Legendre error bound against the dyadic
-    grading it replaced (``oracles.segment_breaks``), both with the
-    square-root kernel, on the differential points and the hull and
-    boundary samples.
-
-    Points within 1e-6 of a prevertex are left out: the prevertices, which
-    take their exact values, and the differential points within 1e-9 of
-    one.  There the two gradings differ by up to 2.5e-12, and against
-    40-digit mpmath values both are about 1e-11 off at d = 3e-10 (old
-    1.10e-11, new 1.30e-11), because the rounding of z t near t = 1
-    dominates either quadrature error.
-    """
-    sol = solve_triangle(nodes)
+def _points_away_from_prevertices() -> np.ndarray:
+    """The differential points and the hull and boundary samples at least
+    1e-6 from every prevertex; the others are all within 1e-9 of one."""
     rim = np.exp(1j * (np.arange(500) + 0.5) * 2.0 * math.pi / 500)
     zs = np.concatenate([_differential_points(), interior_samples(500), rim])
     dist = np.min(np.abs(zs[:, None] - np.array(PREVERTICES)[None, :]), axis=1)
     assert np.all((dist >= 1e-6) | (dist <= 1e-9))
-    zs = zs[dist >= 1e-6]
+    return zs[dist >= 1e-6]
+
+
+@pytest.mark.parametrize("nodes", [64, 256, 1024])
+def test_map_points_matches_scalar_path(nodes):
+    """The map against ``oracles.GradedTriangleMap``, the integration from
+    the origin over graded panels with exp/log corner integrals that it
+    replaced, on the points at least 1e-6 from every prevertex (measured:
+    1.7e-15, 2.0e-14 and 4.3e-14 at 64, 256 and 1024 nodes); and that
+    batched graded path against the same path taken one point at a time
+    with the exp/log kernel, on every differential point."""
+    graded = oracles.GradedTriangleMap(nodes)
+    zs = _differential_points()
+    scalar = np.array([_scalar_map_point(graded, z) for z in zs])
+    assert np.max(np.abs(graded.map_points(zs) - scalar)) <= 1e-14
+
+    sol = solve_triangle(nodes)
+    zs = _points_away_from_prevertices()
+    batched = sol.map_points(zs)
+    assert batched.shape == zs.shape
+    assert oracles.map_point(sol, zs[0]) == batched[0]
+    assert np.max(np.abs(batched - graded.map_points(zs))) <= 1e-13
+
+
+@pytest.mark.parametrize("nodes", [64, 256])
+def test_graded_panels_match_the_dyadic_panels(nodes):
+    """The grading of ``oracles.GradedTriangleMap`` by the Gauss-Legendre
+    error bound against the dyadic grading before it
+    (``oracles.segment_breaks``), both with the square-root kernel, on the
+    points at least 1e-6 from every prevertex.
+
+    Within 1e-9 of a prevertex the two gradings differ by up to 2.5e-12,
+    and against 40-digit mpmath values both are about 1e-11 off at
+    d = 3e-10 (old 1.10e-11, new 1.30e-11), because the rounding of z t
+    near t = 1 dominates either quadrature error.
+    """
+    graded = oracles.GradedTriangleMap(nodes)
+    zs = _points_away_from_prevertices()
     dyadic = np.array([
-        sol.offset + sol.scale * _scalar_path_integral(
-            sol, np.conj(z), oracles.segment_breaks, _sc_derivative)
+        _scalar_map_point(
+            graded, z, breaks_of=oracles.segment_breaks, kernel=oracles.sc_derivative)
         for z in zs
     ])
-    assert np.max(np.abs(sol.map_points(zs) - dyadic)) <= 2e-15
+    assert np.max(np.abs(graded.map_points(zs) - dyadic)) <= 2e-15
+
+
+_NEAR_DISTANCES = (1e-15, 1e-12, 1e-9, 3e-10, 1e-6, 1e-2)
+
+
+def _near_prevertex_points() -> list[complex]:
+    """Each prevertex moved inward by d, then along the circle by the angle d."""
+    return [
+        z for zk in PREVERTICES for d in _NEAR_DISTANCES
+        for z in (zk * (1.0 - d), zk * cmath.exp(1j * d))
+    ]
+
+
+# The map at ``_near_prevertex_points()`` to 40 digits, rounded to doubles.
+_NEAR_PREVERTEX_IMAGES = (
+    (5.189680491148832e-05+0.9998747100297388j), (9.591196254442299e-05+0.9999040880374556j),
+    (0.00029189391004571125+0.9992953057635935j), (0.0005393526011884602+0.9994606473988117j),
+    (0.0016414491483961802+0.9960371912037159j), (0.003033002565426301+0.9969669974353319j),
+    (0.0012148083228392496+0.9970671932712556j), (0.0022446730444173023+0.9977553269557511j),
+    (0.00923054755485628+0.9777154853291823j), (0.017055827243123975+0.9829441727564969j),
+    (0.09236498225552223+0.7768526429336843j), (0.1706015748325274+0.8293984251674725j),
+    (0.9998946441131401+4.363983721319189e-05j), (0.9998859408117283-1.425739853396278e-20j),
+    (0.9994074251427558+0.0002454525425917992j), (0.9993585980491716-8.017524385352565e-17j),
+    (0.9966676882887998+0.001380288704540995j), (0.9963931317701851-4.5085852859160723e-13j),
+    (0.9975338133351515+0.0010215279638589093j), (0.9973306188449043-1.0010179330707928e-13j),
+    (0.9812610311095437+0.007761933412758701j), (0.9797170909182854+2.2539523620958346e-13j),
+    (0.8123171340405974+0.07757509939743212j), (0.797322226242845+7.286404023007607e-17j),
+    (6.027735037971805e-09+6.027735037971803e-09j), (-2.1319783521146476e-24+8.527913408458588e-09j),
+    (1.906878316691089e-07+1.9068783166906123e-07j), (-6.74190751485727e-20+2.696763005942234e-07j),
+    (6.0301453174819745e-06+6.030145315974439e-06j), (-2.131978352914139e-15+8.527913409524576e-06j),
+    (3.30284679789685e-06+3.3028467976491366e-06j), (-3.503197907091761e-16+4.670930542438695e-06j),
+    (0.00019069001238695234+0.00019068996471443135j), (5.993597294818282e-15+0.00026967633430374733j),
+    (0.01914079866418723+0.019092766804502656j), (1.9521532921543262e-17+0.027001541164522132j),
+)
+
+
+@pytest.mark.parametrize("nodes", [64, 256, 1024])
+def test_map_near_each_prevertex_matches_40_digit_values(nodes):
+    """Points from 1e-15 to 1e-2 from a prevertex against 40-digit values.
+
+    Near a 3/4 corner the map is Hoelder-1/4, so a point within 1e-15 of
+    one that took the corner value would be about 1e-4 off.  Measured:
+    4e-16, 5.9e-15 and 1.2e-14 at 64, 256 and 1024 nodes.  The values come
+    from mpmath (not a test dependency) with each segment's singular factor
+    taken into the substitution s = t^4::
+
+        import mpmath as mp
+        mp.mp.dps = 40
+        Z = (mp.mpc(1), mp.mpc(0, 1), mp.mpc(0, -1))
+        B = (mp.mpf(3) / 4, mp.mpf(1) / 2, mp.mpf(3) / 4)
+
+        def seg(k, w):  # from Z[k] to w along zeta = Z[k] + (w - Z[k]) t^4
+            c = (Z[k] - w) / Z[k]
+            def f(t):
+                zeta = Z[k] + (w - Z[k]) * t**4
+                rest = mp.fprod((1 - zeta / Z[j]) ** -B[j] for j in range(3) if j != k)
+                return 4 * t ** (3 - 4 * B[k]) * rest
+            return (w - Z[k]) * c ** -B[k] * mp.quad(f, [0, 1])
+
+        I = [-seg(k, 0) for k in range(3)]
+
+        def image(z):
+            w = mp.conj(mp.mpc(z.real, z.imag))
+            k = min(range(3), key=lambda k: abs(w - Z[k]))
+            return 1j + (1 - 1j) * (I[k] + seg(k, w) - I[0]) / (I[2] - I[0])
+
+        [complex(image(z)) for z in _near_prevertex_points()]
+    """
+    zs = np.array(_near_prevertex_points())
+    images = solve_triangle(nodes).map_points(zs)
+    assert np.max(np.abs(images - np.array(_NEAR_PREVERTEX_IMAGES))) <= 2e-14
 
 
 def test_hull_and_boundary_evaluation_counts(solved_256, monkeypatch):
     sizes = []
     kernel = triangle._sc_derivative
 
-    def counting(zeta):
-        sizes.append(zeta.size)
-        return kernel(zeta)
+    def counting(*factors):
+        sizes.append(factors[0].size)
+        return kernel(*factors)
 
     monkeypatch.setattr(triangle, "_sc_derivative", counting)
     verify_hull(solved_256, samples=500)
     hull = sum(sizes)
     sizes.clear()
     boundary_deviation(solved_256, samples=500)
-    assert (hull, sum(sizes)) == (26_672, 30_240)
+    assert (hull, sum(sizes)) == (8_000, 8_000)
 
 
 def test_map_points_keeps_input_shape(solved_256):
@@ -488,12 +577,16 @@ def test_panel_rule_is_gauss_legendre(nodes, weight_tol):
 
 
 def test_solves_at_one_node_count_share_three_rules():
-    # the two acute corners share alpha = -3/4, the right angle has -1/2,
-    # and the panels use alpha = 0 at max(12, nodes // 16) nodes
+    # the two acute corners share alpha = -3/4 and the right angle has -1/2,
+    # at n nodes for the corners and max(16, n // 16) for every other point
     _gauss_jacobi.cache_clear()
     for _ in range(3):
-        solve_triangle(128)
-    assert _gauss_jacobi.cache_info().misses == 3
+        sol = solve_triangle(128)
+    verify_hull(sol)
+    assert _gauss_jacobi.cache_info().misses == 4
+    for rule in ((128, -0.75), (128, -0.5), (16, -0.75), (16, -0.5)):
+        _gauss_jacobi(*rule)
+    assert _gauss_jacobi.cache_info().misses == 4
 
 
 def test_newton_without_steps_is_not_converged(monkeypatch):
